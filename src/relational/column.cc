@@ -239,27 +239,6 @@ Status Column::AppendParsed(std::string_view text) {
   return Status::InvalidArgument("unknown value type");
 }
 
-void Column::PopBack() {
-  CSM_CHECK_GT(size_, 0u);
-  switch (type_) {
-    case ValueType::kNull:
-      nulls_.pop_back();
-      break;
-    case ValueType::kInt:
-      ints_.pop_back();
-      nulls_.pop_back();
-      break;
-    case ValueType::kReal:
-      reals_.pop_back();
-      nulls_.pop_back();
-      break;
-    case ValueType::kString:
-      codes_.pop_back();
-      break;
-  }
-  --size_;
-}
-
 void Column::AppendFrom(const Column& other) {
   CSM_CHECK(other.type_ == type_)
       << "column type mismatch: expected " << ValueTypeToString(type_)

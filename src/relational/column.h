@@ -81,7 +81,7 @@ class StringDictionary {
 ///   kString codes_ into dict_ (kNullCode marks NULL; no separate mask)
 ///   kNull   nulls_ only (every cell is NULL by construction)
 ///
-/// Mutation (Append*/PopBack) is single-writer; concurrent reads of a
+/// Mutation (Append*) is single-writer; concurrent reads of a
 /// non-mutating Column are safe.  Gather() shares the dictionary with the
 /// parent column; a later Append to either side clones the dictionary
 /// first (copy-on-write), so shared encodings never diverge.
@@ -117,15 +117,12 @@ class Column {
   /// without constructing an intermediate Value.
   Status AppendParsed(std::string_view text);
 
-  /// Removes the last cell (ingest rollback on a failed row).
-  void PopBack();
-
   /// Appends every cell of `other` (same type; CHECK-enforced) — the merge
-  /// step of parallel CSV ingest.  String cells are re-encoded into this
-  /// column's dictionary lazily in `other`'s row order, so concatenating
-  /// freshly parsed chunk columns reproduces the exact first-seen
+  /// step of chunked table generation.  String cells are re-encoded into
+  /// this column's dictionary lazily in `other`'s row order, so
+  /// concatenating chunk columns reproduces the exact first-seen
   /// dictionary order (and therefore the exact codes) a single serial
-  /// parse of the concatenated rows would have produced.  Dictionary
+  /// build of the concatenated rows would have produced.  Dictionary
   /// entries of `other` that no row references are not copied.
   void AppendFrom(const Column& other);
 

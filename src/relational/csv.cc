@@ -1,9 +1,12 @@
 #include "relational/csv.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <deque>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #ifndef _WIN32
@@ -13,7 +16,6 @@
 #include <unistd.h>
 #endif
 
-#include "common/logging.h"
 #include "common/string_util.h"
 #include "exec/parallel.h"
 #include "exec/thread_pool.h"
@@ -26,185 +28,448 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-bool NeedsQuoting(const std::string& field) {
-  return field.find_first_of(",\"\n\r") != std::string::npos;
+// ------------------------------------------------------------------ writer
+
+/// Appends `field` to `out`, quoted (with `"` doubled) when it contains a
+/// comma, quote or line break.
+void AppendField(std::string_view field, std::string* out) {
+  if (field.find_first_of(",\"\n\r") == std::string_view::npos) {
+    out->append(field);
+    return;
+  }
+  *out += '"';
+  for (char c : field) {
+    if (c == '"') *out += "\"\"";
+    else *out += c;
+  }
+  *out += '"';
 }
 
-std::string QuoteField(const std::string& field) {
-  if (!NeedsQuoting(field)) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += "\"\"";
-    else out += c;
+/// Appends the text of cell (`row`, `column`); NULL renders as nothing.
+/// String cells are read straight from the dictionary, numbers render
+/// through Value::ToString so the text matches the boxed form exactly.
+void AppendCell(const Column& column, size_t row, std::string* out) {
+  if (column.IsNull(row)) return;
+  if (column.type() == ValueType::kString) {
+    AppendField(column.dictionary().values()[column.codes()[row]], out);
+  } else {
+    AppendField(column.GetValue(row).ToString(), out);
   }
-  out += "\"";
+}
+
+/// Streams `instance` as CSV, one record at a time, from the typed columns.
+void WriteCsv(const Table& instance, std::ostream& os) {
+  const TableSchema& schema = instance.schema();
+  const size_t arity = schema.num_attributes();
+  std::string line;
+  for (size_t c = 0; c < arity; ++c) {
+    if (c > 0) line += ',';
+    AppendField(schema.attribute(c).name, &line);
+  }
+  line += '\n';
+  os << line;
+  for (size_t r = 0; r < instance.num_rows(); ++r) {
+    line.clear();
+    for (size_t c = 0; c < arity; ++c) {
+      if (c > 0) line += ',';
+      AppendCell(instance.column(c), r, &line);
+    }
+    // A single-attribute NULL row would render as an empty line, which a
+    // reader cannot tell apart from the file's trailing newline.  Quote it;
+    // "" parses back to one empty field and hence NULL.
+    if (line.empty()) line = "\"\"";
+    line += '\n';
+    os << line;
+  }
+}
+
+// ------------------------------------------------------------ the splitter
+
+/// The four bytes that end or open something in a CSV field.
+constexpr std::array<bool, 256> kStructural = [] {
+  std::array<bool, 256> table{};
+  table[static_cast<unsigned char>(',')] = true;
+  table[static_cast<unsigned char>('"')] = true;
+  table[static_cast<unsigned char>('\n')] = true;
+  table[static_cast<unsigned char>('\r')] = true;
+  return table;
+}();
+
+enum class Split {
+  kRecord,         // one record's cells were appended
+  kTrailingBlank,  // a blank line ending the whole text: not a record
+  kUnterminated,   // a quoted field ran to `end` without its closing quote
+};
+
+/// Unescaped copies of the fields that contained a `"`.  A deque, so the
+/// string_views pointing into earlier entries survive later appends.
+using CsvArena = std::deque<std::string>;
+
+/// The one CSV record splitter.  Splits the record starting at `*pos`
+/// (< end) into `cells` and advances `*pos` past its terminator.
+///
+/// Rules: records end at "\n", "\r\n" or a bare "\r" outside quotes; a `"`
+/// opens quoted text anywhere in a field and the next lone `"` closes it,
+/// while `""` inside quoted text is one literal quote.  Fields without a
+/// `"` are views into `text`; the rest are unescaped into `arena`.  A line
+/// with no bytes before its terminator is one empty field, unless it is
+/// the last line of the whole `text` — then it is the file's trailing
+/// newline.  `end` may be a chunk end: ScanCsvChunks cuts only where a
+/// record ends, so a record never runs past it.
+Split SplitRecord(std::string_view text, size_t end, size_t* pos,
+                  std::vector<std::string_view>* cells, CsvArena* arena) {
+  const char* const data = text.data();
+  size_t i = *pos;
+  if (data[i] == '\n' || data[i] == '\r') {
+    i += data[i] == '\r' && i + 1 < end && data[i + 1] == '\n' ? 2 : 1;
+    *pos = i;
+    if (i >= text.size()) return Split::kTrailingBlank;
+    cells->emplace_back();
+    return Split::kRecord;
+  }
+  size_t field_begin = i;
+  while (true) {
+    while (i < end && !kStructural[static_cast<unsigned char>(data[i])]) ++i;
+    if (i < end && data[i] == '"') {
+      std::string& field =
+          arena->emplace_back(data + field_begin, i - field_begin);
+      bool in_quotes = false;
+      for (; i < end; ++i) {
+        const char c = data[i];
+        if (in_quotes) {
+          if (c != '"') {
+            field += c;
+          } else if (i + 1 < end && data[i + 1] == '"') {
+            field += '"';
+            ++i;
+          } else {
+            in_quotes = false;
+          }
+        } else if (c == '"') {
+          in_quotes = true;
+        } else if (kStructural[static_cast<unsigned char>(c)]) {
+          break;
+        } else {
+          field += c;
+        }
+      }
+      if (in_quotes) {
+        *pos = i;
+        return Split::kUnterminated;
+      }
+      cells->emplace_back(field);
+    } else {
+      cells->emplace_back(data + field_begin, i - field_begin);
+    }
+    if (i >= end) break;
+    const char c = data[i++];
+    if (c == ',') {
+      field_begin = i;
+      continue;
+    }
+    if (c == '\r' && i < end && data[i] == '\n') ++i;
+    break;
+  }
+  *pos = i;
+  return Split::kRecord;
+}
+
+// ------------------------------------------------------------------ errors
+
+/// Every CSV parse error names the record (the header is record 1, so in a
+/// file without quoted line breaks it is the line number) and the byte
+/// offset where that record starts.
+Status CsvError(size_t record, size_t byte, const std::string& detail) {
+  return Status::InvalidArgument("CSV record " + std::to_string(record) +
+                                 " (byte " + std::to_string(byte) +
+                                 "): " + detail);
+}
+
+constexpr const char* kUnterminatedDetail = "unterminated quoted CSV field";
+
+// ----------------------------------------------------------------- header
+
+struct CsvHeader {
+  std::vector<std::string> names;
+  size_t body = 0;  // byte offset of the first data record
+};
+
+StatusOr<CsvHeader> SplitHeader(std::string_view csv) {
+  CsvHeader header;
+  if (csv.empty()) return header;
+  std::vector<std::string_view> names;
+  CsvArena arena;
+  if (SplitRecord(csv, csv.size(), &header.body, &names, &arena) ==
+      Split::kUnterminated) {
+    return CsvError(1, 0, kUnterminatedDetail);
+  }
+  header.names.assign(names.begin(), names.end());
+  return header;
+}
+
+Status ValidateHeader(const TableSchema& schema, const CsvHeader& header) {
+  if (header.names.size() != schema.num_attributes()) {
+    return CsvError(1, 0,
+                    "header arity mismatch for table '" + schema.name() +
+                        "': expected " +
+                        std::to_string(schema.num_attributes()) +
+                        " attributes, got " +
+                        std::to_string(header.names.size()));
+  }
+  for (size_t c = 0; c < header.names.size(); ++c) {
+    if (header.names[c] != schema.attribute(c).name) {
+      return CsvError(1, 0,
+                      "header mismatch: expected '" +
+                          schema.attribute(c).name + "', got '" +
+                          header.names[c] + "'");
+    }
+  }
+  return Status::Ok();
+}
+
+// ------------------------------------------------------ pass 1: splitting
+
+/// One chunk's cells, split zero-copy: row-major, `arity` views per row.
+struct SplitChunk {
+  std::vector<std::string_view> cells;
+  CsvArena arena;
+  size_t rows = 0;
+  /// Why record `rows` of the chunk failed to split; empty when the chunk
+  /// split cleanly.  Nothing after a failed record is split.
+  std::string error;
+};
+
+void SplitSpan(std::string_view csv, const CsvChunkSpan& span, size_t arity,
+               const std::string& table_name, SplitChunk* out) {
+  out->cells.reserve(span.records * arity);
+  size_t pos = span.begin;
+  while (pos < span.end) {
+    const size_t before = out->cells.size();
+    const Split split =
+        SplitRecord(csv, span.end, &pos, &out->cells, &out->arena);
+    if (split == Split::kTrailingBlank) return;
+    if (split == Split::kUnterminated) {
+      out->error = kUnterminatedDetail;
+      return;
+    }
+    const size_t got = out->cells.size() - before;
+    if (got != arity) {
+      out->error = "record arity mismatch in table '" + table_name +
+                   "': expected " + std::to_string(arity) + " fields, got " +
+                   std::to_string(got);
+      return;
+    }
+    ++out->rows;
+  }
+}
+
+/// The split body: chunks in text order, cut back to the rows before the
+/// first splitter error (or the row capacity), which is then `pending`.
+struct SplitBody {
+  std::vector<CsvChunkSpan> spans;
+  std::vector<SplitChunk> chunks;
+  size_t rows = 0;
+  std::optional<std::string> pending;  // error at data row `rows`
+};
+
+SplitBody SplitAll(std::string_view csv, size_t body, size_t arity,
+                   const std::string& table_name, size_t chunk_bytes,
+                   exec::ThreadPool* pool) {
+  SplitBody out;
+  if (body < csv.size()) {
+    // One chunk needs no scan: split the whole body in place.
+    out.spans = chunk_bytes >= csv.size() - body
+                    ? std::vector<CsvChunkSpan>{{body, csv.size(), 0}}
+                    : ScanCsvChunks(csv, body, chunk_bytes);
+  }
+  out.chunks.resize(out.spans.size());
+  exec::ParallelFor(pool, out.spans.size(), [&](size_t i) {
+    SplitSpan(csv, out.spans[i], arity, table_name, &out.chunks[i]);
+  });
+  for (const SplitChunk& chunk : out.chunks) {
+    out.rows += chunk.rows;
+    if (!chunk.error.empty()) {
+      out.pending = chunk.error;
+      break;
+    }
+  }
+  // 32-bit RowIds and the dictionary NULL code cap a table at kNullCode
+  // rows.
+  if (out.rows > kNullCode) {
+    out.rows = kNullCode;
+    out.pending = "table '" + table_name + "' row capacity exceeded";
+  }
   return out;
 }
 
-/// Splits one logical CSV record starting at `pos`; advances `pos` past the
-/// record's trailing newline.  Handles quoted fields with embedded commas,
-/// quotes, and newlines.
-StatusOr<std::vector<std::string>> ParseRecord(std::string_view text,
-                                               size_t& pos) {
-  std::vector<std::string> fields;
-  std::string current;
-  bool in_quotes = false;
-  bool saw_any = false;
-  while (pos < text.size()) {
-    char c = text[pos];
-    if (in_quotes) {
-      if (c == '"') {
-        if (pos + 1 < text.size() && text[pos + 1] == '"') {
-          current += '"';
-          ++pos;
-        } else {
-          in_quotes = false;
+/// Byte offset where data row `row` starts: re-splits its chunk up to it.
+/// Only error reporting pays for this.
+size_t RowOffset(std::string_view csv, const SplitBody& body, size_t row) {
+  for (size_t i = 0; i < body.chunks.size(); ++i) {
+    const SplitChunk& chunk = body.chunks[i];
+    if (row >= chunk.rows && chunk.error.empty()) {
+      row -= chunk.rows;
+      continue;
+    }
+    size_t pos = body.spans[i].begin;
+    std::vector<std::string_view> cells;
+    CsvArena arena;
+    for (size_t r = 0; r < row; ++r) {
+      SplitRecord(csv, body.spans[i].end, &pos, &cells, &arena);
+      cells.clear();
+    }
+    return pos;
+  }
+  return csv.size();
+}
+
+// ------------------------------------------------------- pass 2: encoding
+
+/// Encodes each column in row order on its own task, so dictionary codes
+/// come out in serial first-seen order, then assembles the table.  The
+/// error reported is the one a record-at-a-time parse meets first: the
+/// lowest record, and within it the splitter before the cells and a lower
+/// column before a higher one.
+StatusOr<Table> EncodeColumns(TableSchema schema, std::string_view csv,
+                              const SplitBody& body, exec::ThreadPool* pool) {
+  const size_t arity = schema.num_attributes();
+  std::vector<Column> columns(arity);
+  struct CellError {
+    size_t row = 0;
+    std::string detail;
+  };
+  std::vector<std::optional<CellError>> errors(arity);
+  exec::ParallelFor(pool, arity, [&](size_t c) {
+    Column column(schema.attribute(c).type);
+    column.Reserve(body.rows);
+    size_t row = 0;
+    for (const SplitChunk& chunk : body.chunks) {
+      const size_t rows = std::min(chunk.rows, body.rows - row);
+      for (size_t r = 0; r < rows; ++r, ++row) {
+        Status status = column.AppendParsed(chunk.cells[r * arity + c]);
+        if (!status.ok()) {
+          errors[c] = CellError{row, "attribute '" +
+                                         schema.attribute(c).name +
+                                         "': " + status.message()};
+          return;
         }
-      } else {
-        current += c;
       }
-      ++pos;
-      saw_any = true;
-      continue;
     }
-    if (c == '"') {
-      in_quotes = true;
-      ++pos;
-      saw_any = true;
-      continue;
-    }
-    if (c == ',') {
-      fields.push_back(std::move(current));
-      current.clear();
-      ++pos;
-      saw_any = true;
-      continue;
-    }
-    if (c == '\r') {
-      // Record terminator: "\r\n" (DOS) or a bare "\r" (classic Mac).
-      // Skipping the "\r" instead would both collapse a CR-only file into a
-      // single record and silently drop an unquoted embedded "\r".
-      ++pos;
-      if (pos < text.size() && text[pos] == '\n') ++pos;
-      break;
-    }
-    if (c == '\n') {
-      ++pos;
-      break;
-    }
-    current += c;
-    ++pos;
-    saw_any = true;
+    columns[c] = std::move(column);
+  });
+
+  std::optional<CellError> first;
+  if (body.pending) first = CellError{body.rows, *body.pending};
+  for (std::optional<CellError>& error : errors) {
+    // Encoding stops before row body.rows, so a cell error is always in an
+    // earlier record than the pending splitter error.
+    if (error && (!first || error->row < first->row)) first = std::move(error);
   }
-  if (in_quotes) {
-    return Status::InvalidArgument("unterminated quoted CSV field");
+  if (first) {
+    // Data row r is record r + 2: the header is record 1.
+    return CsvError(first->row + 2, RowOffset(csv, body, first->row),
+                    first->detail);
   }
-  if (!saw_any && pos >= text.size()) {
-    return std::vector<std::string>{};  // empty trailing record
-  }
-  fields.push_back(std::move(current));
-  return fields;
+  return Table::FromColumns(std::move(schema), std::move(columns), body.rows);
 }
 
-Status ValidateCsvHeader(const TableSchema& schema,
-                         const std::vector<std::string>& header) {
-  if (header.size() != schema.num_attributes()) {
-    return Status::InvalidArgument("CSV header arity mismatch for table '" +
-                                   schema.name() + "'");
-  }
-  for (size_t c = 0; c < header.size(); ++c) {
-    if (header[c] != schema.attribute(c).name) {
-      return Status::InvalidArgument("CSV header mismatch: expected '" +
-                                     schema.attribute(c).name + "', got '" +
-                                     header[c] + "'");
+// ------------------------------------------------------------ inference
+
+/// Column-type inference: each column demotes from int toward real toward
+/// string as cells of the first `limit` rows fail to parse (0 = all rows).
+/// Columns with no non-empty cell default to string.
+TableSchema InferSchema(const std::string& table_name, const CsvHeader& header,
+                        const SplitBody& body, size_t limit) {
+  const size_t arity = header.names.size();
+  std::vector<ValueType> types(arity, ValueType::kInt);
+  std::vector<bool> saw_value(arity, false);
+  if (limit == 0 || limit > body.rows) limit = body.rows;
+  size_t row = 0;
+  for (const SplitChunk& chunk : body.chunks) {
+    for (size_t r = 0; r < chunk.rows && row < limit; ++r, ++row) {
+      for (size_t c = 0; c < arity; ++c) {
+        const std::string_view cell = Trim(chunk.cells[r * arity + c]);
+        if (cell.empty()) continue;
+        saw_value[c] = true;
+        if (types[c] == ValueType::kInt &&
+            !Value::Parse(cell, ValueType::kInt).ok()) {
+          types[c] = ValueType::kReal;
+        }
+        if (types[c] == ValueType::kReal &&
+            !Value::Parse(cell, ValueType::kReal).ok()) {
+          types[c] = ValueType::kString;
+        }
+      }
     }
   }
-  return Status::Ok();
+  TableSchema schema(table_name);
+  for (size_t c = 0; c < arity; ++c) {
+    schema.AddAttribute(header.names[c],
+                        saw_value[c] ? types[c] : ValueType::kString);
+  }
+  return schema;
 }
 
-/// Parses every record of `text` from `pos` into `out` (blank trailing
-/// lines skipped).  The single record loop shared by the serial and the
-/// per-chunk parallel parse, so both paths have identical semantics by
-/// construction.
-Status AppendCsvRecords(const TableSchema& schema, std::string_view text,
-                        size_t pos, Table* out) {
-  while (pos < text.size()) {
-    CSM_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                         ParseRecord(text, pos));
-    if (fields.empty()) continue;  // blank trailing line
-    if (fields.size() != schema.num_attributes()) {
-      return Status::InvalidArgument("CSV record arity mismatch in table '" +
-                                     schema.name() + "'");
-    }
-    // Parse straight into the column segments (dictionary codes for string
-    // attributes) instead of boxing a Value per cell.
-    CSM_RETURN_IF_ERROR(out->AddRowFromText(fields));
-  }
-  return Status::Ok();
-}
+// ------------------------------------------------------------- the reader
 
-/// Column-type inference accumulator: demotes each column from int toward
-/// real toward string as cells fail to parse.  Shared by the slurping and
-/// streaming inferred readers.
-void UpdateTypeInference(const std::vector<std::string>& record,
-                         std::vector<ValueType>* types,
-                         std::vector<bool>* saw_value) {
-  for (size_t c = 0; c < record.size(); ++c) {
-    std::string_view cell = Trim(record[c]);
-    if (cell.empty()) continue;
-    (*saw_value)[c] = true;
-    if ((*types)[c] == ValueType::kInt &&
-        !Value::Parse(cell, ValueType::kInt).ok()) {
-      (*types)[c] = ValueType::kReal;
-    }
-    if ((*types)[c] == ValueType::kReal &&
-        !Value::Parse(cell, ValueType::kReal).ok()) {
-      (*types)[c] = ValueType::kString;
-    }
+/// Both passes over `csv`: the schema is `schema` when set, otherwise
+/// inferred from the first `infer_records` data records (0 = all).
+StatusOr<Table> ParseCsv(std::optional<TableSchema> schema,
+                         const std::string& table_name, std::string_view csv,
+                         size_t infer_records, const CsvIngestOptions& options,
+                         CsvIngestStats* stats) {
+  const auto t0 = std::chrono::steady_clock::now();
+  CSM_ASSIGN_OR_RETURN(CsvHeader header, SplitHeader(csv));
+  if (schema) {
+    CSM_RETURN_IF_ERROR(ValidateHeader(*schema, header));
+  } else if (header.names.empty()) {
+    return CsvError(1, 0, "no header row");
   }
+  exec::ThreadPool* pool = options.pool;
+  const size_t threads =
+      pool != nullptr ? pool->size() : exec::EffectiveThreads(options.threads);
+  const size_t body_bytes = csv.size() - header.body;
+  // A serial parse gains nothing from chunks, so it splits one and skips
+  // the scan.
+  const size_t chunk_bytes =
+      options.chunk_bytes != 0 ? options.chunk_bytes
+      : threads <= 1           ? std::max<size_t>(body_bytes, 1)
+                               : AutotuneCsvChunkBytes(body_bytes, threads);
+  std::unique_ptr<exec::ThreadPool> owned_pool;
+  if (pool == nullptr && threads > 1) {
+    owned_pool = std::make_unique<exec::ThreadPool>(threads);
+    pool = owned_pool.get();
+  }
+  const SplitBody body = SplitAll(csv, header.body, header.names.size(),
+                                  table_name, chunk_bytes, pool);
+  if (!schema) schema = InferSchema(table_name, header, body, infer_records);
+  StatusOr<Table> table = EncodeColumns(std::move(*schema), csv, body, pool);
+  if (stats != nullptr) {
+    stats->threads = threads;
+    stats->chunk_bytes = chunk_bytes;
+    stats->chunks = body.spans.size();
+    stats->records = table.ok() ? table->num_rows() : 0;
+    stats->parse_seconds = SecondsSince(t0);
+  }
+  return table;
 }
 
 }  // namespace
 
 std::string TableToCsv(const Table& instance) {
   std::ostringstream os;
-  const TableSchema& schema = instance.schema();
-  for (size_t c = 0; c < schema.num_attributes(); ++c) {
-    if (c > 0) os << ',';
-    os << QuoteField(schema.attribute(c).name);
-  }
-  os << '\n';
-  for (const Row& row : instance.rows()) {
-    std::string line;
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) line += ',';
-      line += QuoteField(row[c].ToString());
-    }
-    // A single-attribute NULL row would render as an empty line, which a
-    // reader cannot tell apart from the file's trailing newline.  Quote it;
-    // "" parses back to one empty field and hence NULL.
-    if (line.empty()) line = "\"\"";
-    os << line << '\n';
-  }
+  WriteCsv(instance, os);
   return os.str();
 }
 
 StatusOr<Table> TableFromCsv(const TableSchema& schema, std::string_view csv) {
-  size_t pos = 0;
-  CSM_ASSIGN_OR_RETURN(std::vector<std::string> header,
-                       ParseRecord(csv, pos));
-  CSM_RETURN_IF_ERROR(ValidateCsvHeader(schema, header));
-  // Single pass: no estimate scan — vector growth amortizes, and the old
-  // newline-count pass re-read every byte of the text a second time.
-  Table out(schema);
-  CSM_RETURN_IF_ERROR(AppendCsvRecords(schema, csv, pos, &out));
-  return out;
+  return TableFromCsvParallel(schema, csv, {.threads = 1});
 }
 
 Status WriteCsvFile(const Table& instance, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IoError("cannot open for write: " + path);
-  out << TableToCsv(instance);
+  WriteCsv(instance, out);
   if (!out) return Status::IoError("write failed: " + path);
   return Status::Ok();
 }
@@ -220,43 +485,7 @@ StatusOr<Table> ReadCsvFile(const TableSchema& schema,
 
 StatusOr<Table> TableFromCsvInferred(const std::string& table_name,
                                      std::string_view csv) {
-  // First pass: collect header and all records as raw strings.
-  size_t pos = 0;
-  CSM_ASSIGN_OR_RETURN(std::vector<std::string> header, ParseRecord(csv, pos));
-  if (header.empty()) {
-    return Status::InvalidArgument("CSV has no header row");
-  }
-  std::vector<std::vector<std::string>> records;
-  while (pos < csv.size()) {
-    CSM_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                         ParseRecord(csv, pos));
-    if (fields.empty()) continue;
-    if (fields.size() != header.size()) {
-      return Status::InvalidArgument("CSV record arity mismatch in '" +
-                                     table_name + "'");
-    }
-    records.push_back(std::move(fields));
-  }
-
-  // Second pass: infer column types — int unless some cell fails, then
-  // real, then string.
-  std::vector<ValueType> types(header.size(), ValueType::kInt);
-  std::vector<bool> saw_value(header.size(), false);
-  for (const auto& record : records) {
-    UpdateTypeInference(record, &types, &saw_value);
-  }
-  TableSchema schema(table_name);
-  for (size_t c = 0; c < header.size(); ++c) {
-    schema.AddAttribute(header[c],
-                        saw_value[c] ? types[c] : ValueType::kString);
-  }
-
-  Table out(schema);
-  out.Reserve(records.size());
-  for (const auto& record : records) {
-    CSM_RETURN_IF_ERROR(out.AddRowFromText(record));
-  }
-  return out;
+  return ParseCsv(std::nullopt, table_name, csv, 0, {.threads = 1}, nullptr);
 }
 
 StatusOr<Table> ReadCsvFileInferred(const std::string& table_name,
@@ -279,10 +508,10 @@ std::vector<CsvChunkSpan> ScanCsvChunks(std::string_view csv, size_t pos,
   if (target_chunk_bytes == 0) target_chunk_bytes = 1;
   size_t chunk_begin = pos;
   size_t records = 0;
-  // Plain quote-parity toggle.  ParseRecord's escaped-quote handling ("")
+  // Plain quote-parity toggle.  SplitRecord's escaped-quote handling ("")
   // consumes two quotes while staying in-quotes; the toggle flips out and
   // back in — the same parity after both, so terminator classification
-  // (quoted vs structural) agrees with the record parser everywhere.
+  // (quoted vs structural) agrees with the record splitter everywhere.
   bool in_quotes = false;
   size_t i = pos;
   while (i < csv.size()) {
@@ -295,7 +524,7 @@ std::vector<CsvChunkSpan> ScanCsvChunks(std::string_view csv, size_t pos,
     if (!in_quotes && (c == '\n' || c == '\r')) {
       ++i;
       // "\r\n" is ONE terminator: never split between the CR and the LF, or
-      // the next chunk would start with a bare LF and parse a phantom empty
+      // the next chunk would start with a bare LF and split a phantom empty
       // record.
       if (c == '\r' && i < csv.size() && csv[i] == '\n') ++i;
       ++records;
@@ -309,8 +538,8 @@ std::vector<CsvChunkSpan> ScanCsvChunks(std::string_view csv, size_t pos,
     ++i;
   }
   if (chunk_begin < csv.size()) {
-    // Unterminated final record (or an unterminated quote — the chunk parse
-    // reports that error).
+    // Unterminated final record (or an unterminated quote — the chunk's
+    // split reports that error).
     spans.push_back({chunk_begin, csv.size(), records + 1});
   }
   return spans;
@@ -328,76 +557,7 @@ StatusOr<Table> TableFromCsvParallel(const TableSchema& schema,
                                      std::string_view csv,
                                      const CsvIngestOptions& options,
                                      CsvIngestStats* stats) {
-  const auto t0 = std::chrono::steady_clock::now();
-  size_t pos = 0;
-  CSM_ASSIGN_OR_RETURN(std::vector<std::string> header,
-                       ParseRecord(csv, pos));
-  CSM_RETURN_IF_ERROR(ValidateCsvHeader(schema, header));
-
-  exec::ThreadPool* pool = options.pool;
-  const size_t threads =
-      pool != nullptr ? pool->size() : exec::EffectiveThreads(options.threads);
-  const size_t chunk_bytes =
-      options.chunk_bytes != 0
-          ? options.chunk_bytes
-          : AutotuneCsvChunkBytes(csv.size() - pos, threads);
-  const std::vector<CsvChunkSpan> spans = ScanCsvChunks(csv, pos, chunk_bytes);
-
-  std::unique_ptr<exec::ThreadPool> owned_pool;
-  if (pool == nullptr && threads > 1 && spans.size() > 1) {
-    owned_pool = std::make_unique<exec::ThreadPool>(threads);
-    pool = owned_pool.get();
-  }
-
-  // Each chunk parses into its own table (own dictionaries, no shared
-  // mutable state); the merge below re-encodes in chunk order, which
-  // reproduces the serial parse bit-for-bit.
-  struct ChunkResult {
-    Table table;
-    Status status;
-  };
-  std::vector<ChunkResult> parsed =
-      exec::ParallelMap(pool, spans.size(), [&](size_t i) {
-        const CsvChunkSpan& span = spans[i];
-        ChunkResult result;
-        result.table = Table(schema);
-        result.table.Reserve(span.records);
-        result.status = AppendCsvRecords(
-            schema, csv.substr(span.begin, span.end - span.begin), 0,
-            &result.table);
-        return result;
-      });
-
-  // First error in text order wins — identical to what the serial parser
-  // would have reported first.
-  for (const ChunkResult& result : parsed) {
-    if (!result.status.ok()) return result.status;
-  }
-
-  Table out(schema);
-  if (!parsed.empty()) {
-    out = std::move(parsed.front().table);
-    // Reserve the merged size up front: without this every AppendRowsFrom
-    // regrows the destination segments geometrically, re-copying the prefix
-    // once per chunk.
-    size_t total_rows = 0;
-    for (const ChunkResult& result : parsed) {
-      total_rows += result.table.num_rows();
-    }
-    out.Reserve(total_rows);
-    for (size_t i = 1; i < parsed.size(); ++i) {
-      out.AppendRowsFrom(parsed[i].table);
-    }
-  }
-
-  if (stats != nullptr) {
-    stats->threads = threads;
-    stats->chunk_bytes = chunk_bytes;
-    stats->chunks = spans.size();
-    stats->records = out.num_rows();
-    stats->parse_seconds = SecondsSince(t0);
-  }
-  return out;
+  return ParseCsv(schema, schema.name(), csv, 0, options, stats);
 }
 
 namespace {
@@ -493,34 +653,8 @@ StatusOr<Table> ReadCsvFileInferredStreaming(const std::string& table_name,
   CSM_RETURN_IF_ERROR(
       LoadCsvFile(path, options.force_read_fallback, &buffer, stats));
   if (stats != nullptr) stats->load_seconds = SecondsSince(t0);
-
-  const std::string_view csv = buffer.view;
-  size_t pos = 0;
-  CSM_ASSIGN_OR_RETURN(std::vector<std::string> header,
-                       ParseRecord(csv, pos));
-  if (header.empty()) {
-    return Status::InvalidArgument("CSV has no header row");
-  }
-  std::vector<ValueType> types(header.size(), ValueType::kInt);
-  std::vector<bool> saw_value(header.size(), false);
-  size_t seen = 0;
-  while (pos < csv.size() && (infer_records == 0 || seen < infer_records)) {
-    CSM_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                         ParseRecord(csv, pos));
-    if (fields.empty()) continue;
-    if (fields.size() != header.size()) {
-      return Status::InvalidArgument("CSV record arity mismatch in '" +
-                                     table_name + "'");
-    }
-    UpdateTypeInference(fields, &types, &saw_value);
-    ++seen;
-  }
-  TableSchema schema(table_name);
-  for (size_t c = 0; c < header.size(); ++c) {
-    schema.AddAttribute(header[c],
-                        saw_value[c] ? types[c] : ValueType::kString);
-  }
-  return TableFromCsvParallel(schema, csv, options, stats);
+  return ParseCsv(std::nullopt, table_name, buffer.view, infer_records,
+                  options, stats);
 }
 
 }  // namespace csm

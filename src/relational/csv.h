@@ -1,5 +1,27 @@
 // CSV serialization for tables: RFC-4180-ish quoting, header row with
-// attribute names.  Used by the examples and for dumping experiment inputs.
+// attribute names.  Used by the examples, for dumping experiment inputs and
+// as the ingest path of the million-row scale instances.
+//
+// Every reader runs the same two passes over the text (DESIGN.md
+// "Streaming ingest & sampling"):
+//   1. Split.  The body is cut into record-aligned chunks (ScanCsvChunks);
+//      one task per chunk records every cell as a string_view into the
+//      text.  Only fields containing a `"` are unescaped, into a per-chunk
+//      arena.  The splitter checks each record's arity.
+//   2. Encode.  One task per column runs Column::AppendParsed over that
+//      column's cells in row order, and Table::FromColumns assembles the
+//      table.  Encoding in row order gives the serial first-seen
+//      dictionary codes by construction, so no merge or re-encoding step
+//      exists.
+// A serial read is the same two passes with one chunk and no pool.
+//
+// Parse errors are InvalidArgument and read "CSV record N (byte B): ...":
+// N counts records from 1 at the header (in a file without quoted line
+// breaks it is the line number) and B is the byte where the record starts.
+// The error reported is the first a record-at-a-time reader meets: the
+// lowest record, and within a record a splitting error (unterminated
+// quote, arity) before a cell error, and a lower column before a higher.
+// The text is identical at every thread count and chunk size.
 
 #ifndef CSM_RELATIONAL_CSV_H_
 #define CSM_RELATIONAL_CSV_H_
@@ -28,8 +50,9 @@ std::string TableToCsv(const Table& instance);
 /// attribute's declared type; empty cells become NULL.  Records end at
 /// "\n", "\r\n" or a bare "\r" (classic Mac), so files with any mix of
 /// line endings parse; CR/LF *inside* a field must be quoted (the writer
-/// always quotes them).  A blank line after the last record is treated as
-/// the file's trailing newline, not a record.
+/// always quotes them).  A blank line is one empty field, except the last
+/// line of the text, which is the file's trailing newline, not a record.
+/// Serial: TableFromCsvParallel with one thread.
 StatusOr<Table> TableFromCsv(const TableSchema& schema, std::string_view csv);
 
 /// Writes `instance` as CSV to `path`.
@@ -50,12 +73,9 @@ StatusOr<Table> ReadCsvFileInferred(const std::string& table_name,
                                     const std::string& path);
 
 // ---------------------------------------------------------------------------
-// Streaming / parallel ingest (the million-row path; DESIGN.md "Streaming
-// ingest & sampling").  One structural pass splits the text into chunks on
-// record boundaries; chunks parse in parallel into per-chunk column
-// segments; the chunk tables merge in order with dictionary re-encoding.
-// The merged table is bit-identical to TableFromCsv on the same text at
-// every thread count and chunk size.
+// Streaming / parallel ingest (the million-row path).  The table is
+// bit-identical to TableFromCsv on the same text — same rows, same
+// dictionary codes, same error — at every thread count and chunk size.
 // ---------------------------------------------------------------------------
 
 /// One parse chunk: a half-open byte range of the CSV body that starts and
@@ -71,7 +91,7 @@ struct CsvChunkSpan {
 /// Splits `csv` from `pos` (normally just past the header record) into
 /// chunks of at least `target_chunk_bytes` bytes, each ending on a record
 /// boundary, in one pass that tracks quote parity — a '"' toggles in/out of
-/// a quoted field, exactly like the record parser, so terminators inside
+/// a quoted field, exactly like the record splitter, so terminators inside
 /// quoted fields never split a record.  "\r\n" is one terminator: a chunk
 /// never splits between the CR and the LF (a chunk starting with a bare LF
 /// would otherwise parse a phantom empty record).  The final chunk may be
@@ -81,18 +101,19 @@ std::vector<CsvChunkSpan> ScanCsvChunks(std::string_view csv, size_t pos,
 
 /// Chunk size heuristic: aim for ~4 chunks per worker so stragglers level
 /// out, clamped to [64 KiB, 16 MiB] so tiny files stay serial-ish and huge
-/// files do not blow up the per-chunk table count.
+/// files keep a bounded chunk count.
 size_t AutotuneCsvChunkBytes(size_t total_bytes, size_t threads);
 
 /// Knobs for the streaming ingest path.
 struct CsvIngestOptions {
-  /// Worker threads for the chunk parse; 0 = one per hardware thread,
+  /// Worker threads for both passes; 0 = one per hardware thread,
   /// 1 = fully serial (no pool spun up).  Ignored when `pool` is set.
   size_t threads = 0;
-  /// Optional borrowed pool; when set, chunk parsing runs on it instead of
-  /// a private pool.
+  /// Optional borrowed pool; when set, both passes run on it instead of a
+  /// private pool.
   exec::ThreadPool* pool = nullptr;
-  /// Target chunk size in bytes; 0 = AutotuneCsvChunkBytes.
+  /// Target chunk size in bytes; 0 = AutotuneCsvChunkBytes, or one chunk
+  /// (and no chunk scan) when the parse is serial.
   size_t chunk_bytes = 0;
   /// Skip mmap and use the instrumented buffered-read fallback (tests use
   /// this to prove the file is read exactly once).
@@ -109,14 +130,14 @@ struct CsvIngestStats {
   size_t chunks = 0;
   size_t records = 0;       // data records parsed (header excluded)
   double load_seconds = 0.0;   // mmap / read time
-  double parse_seconds = 0.0;  // scan + parallel parse + merge time
+  double parse_seconds = 0.0;  // scan + split + encode time
 };
 
-/// Parses CSV text into a table through the chunked parallel path.  Output
-/// is bit-identical to TableFromCsv(schema, csv) — same rows, same
-/// dictionary code assignment — for every thread count and chunk size; the
-/// first parse error in *text order* is returned, as the serial parser
-/// would.  `stats`, when non-null, receives the parse-side counters.
+/// Parses CSV text into a table with both passes on `options.threads`
+/// workers.  Output is bit-identical to TableFromCsv(schema, csv) — same
+/// rows, same dictionary code assignment, same error — for every thread
+/// count and chunk size.  `stats`, when non-null, receives the parse-side
+/// counters.
 StatusOr<Table> TableFromCsvParallel(const TableSchema& schema,
                                      std::string_view csv,
                                      const CsvIngestOptions& options = {},
@@ -133,8 +154,8 @@ StatusOr<Table> ReadCsvFileStreaming(const TableSchema& schema,
                                      CsvIngestStats* stats = nullptr);
 
 /// Streaming variant of ReadCsvFileInferred: infers column types from the
-/// first `infer_records` data records (0 = all, which degrades to a full
-/// extra scan), then runs the chunked parallel parse.  When the sampled
+/// split cells of the first `infer_records` data records (0 = all) between
+/// the two passes, so inference re-reads no bytes.  When the sampled
 /// prefix under-constrains a column (say, an int-looking prefix followed by
 /// text) the typed parse fails; the caller decides whether to retry with
 /// TableFromCsvInferred.

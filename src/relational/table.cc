@@ -64,26 +64,6 @@ void Table::AddRow(Row row) {
   InvalidateRowCache();
 }
 
-Status Table::AddRowFromText(const std::vector<std::string>& fields) {
-  if (fields.size() != schema_.num_attributes()) {
-    return Status::InvalidArgument("record arity mismatch in table '" +
-                                   name() + "'");
-  }
-  CSM_CHECK_LT(num_rows_, static_cast<size_t>(kNullCode))
-      << "table '" << name() << "' row capacity exceeded";
-  for (size_t i = 0; i < fields.size(); ++i) {
-    Status s = columns_[i].AppendParsed(fields[i]);
-    if (!s.ok()) {
-      // Roll back the cells already appended so the table stays rectangular.
-      for (size_t j = 0; j < i; ++j) columns_[j].PopBack();
-      return s;
-    }
-  }
-  ++num_rows_;
-  InvalidateRowCache();
-  return Status::Ok();
-}
-
 void Table::Reserve(size_t n) {
   for (auto& col : columns_) col.Reserve(n);
 }

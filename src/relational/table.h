@@ -6,6 +6,10 @@
 // row-oriented accessors (rows(), row(), at()) are preserved on top of the
 // columnar store via a lazily built row cache, so existing call sites keep
 // working unchanged while hot paths scan columns directly.
+//
+// Bulk loaders build columns, not rows: CSV ingest (relational/csv.h)
+// encodes each column in row order on its own task and hands the finished
+// segments to Table::FromColumns; it never goes through AddRow.
 
 #ifndef CSM_RELATIONAL_TABLE_H_
 #define CSM_RELATIONAL_TABLE_H_
@@ -45,25 +49,19 @@ class Table {
   /// Appends a row; CHECK-fails on arity or type mismatch.
   void AddRow(Row row);
 
-  /// Parses `fields` (one cell of raw text per attribute) directly into the
-  /// column segments with Value::Parse semantics, skipping per-cell Value
-  /// boxing.  On a parse error no row is appended (partial cells are rolled
-  /// back) and the error is returned.
-  Status AddRowFromText(const std::vector<std::string>& fields);
-
   /// Reserves capacity for `n` rows across all column segments.
   void Reserve(size_t n);
 
   /// Appends every row of `other` (attribute names and types must match;
-  /// CHECK-enforced) — the ordered merge step of parallel CSV ingest.
-  /// String cells re-encode into this table's dictionaries in row order
-  /// (Column::AppendFrom), so appending freshly parsed chunk tables in
-  /// chunk order is bit-identical to one serial parse of the whole file.
+  /// CHECK-enforced) — the ordered merge step of chunked generation
+  /// (datagen/scale_gen.h).  String cells re-encode into this table's
+  /// dictionaries in row order (Column::AppendFrom), so appending chunk
+  /// tables in chunk order gives the codes one serial build would.
   void AppendRowsFrom(const Table& other);
 
   /// Legacy row-oriented accessors, served from a lazily built (and
   /// mutex-guarded, so concurrent const readers are safe) row cache.
-  /// References stay valid until the next AddRow / AddRowFromText.
+  /// References stay valid until the next AddRow / AppendRowsFrom.
   const std::vector<Row>& rows() const;
   const Row& row(size_t index) const;
 
@@ -100,8 +98,9 @@ class Table {
   Table Renamed(std::string new_name) const;
 
   /// Assembles a table from pre-built column segments (the materialization
-  /// path of TableView).  CHECK-fails unless every column matches the
-  /// schema's attribute types and has exactly `num_rows` cells.
+  /// path of TableView and the last step of CSV ingest).  CHECK-fails
+  /// unless every column matches the schema's attribute types and has
+  /// exactly `num_rows` cells.
   static Table FromColumns(TableSchema schema, std::vector<Column> columns,
                            size_t num_rows);
 

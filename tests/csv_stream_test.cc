@@ -254,6 +254,83 @@ TEST(CsvStreamTest, HeaderMismatchRejected) {
   EXPECT_FALSE(TableFromCsvParallel(schema, "a\n1\n").ok());
 }
 
+// Regression: a blank line that ended a chunk used to be taken for the
+// file's trailing newline and dropped.  Only a blank line at the end of the
+// whole body is the trailing newline; anywhere else it is a record.
+TEST(CsvStreamTest, BlankLineEndingAChunkIsStillARecord) {
+  TableSchema two("t");
+  two.AddAttribute("a", ValueType::kInt);
+  two.AddAttribute("b", ValueType::kString);
+  const std::string two_csv = "a,b\n1,x\n\n2,y\n";
+  const Status serial = TableFromCsv(two, two_csv).status();
+  ASSERT_FALSE(serial.ok());  // the blank record has one field, not two
+  for (size_t threads : {size_t{1}, size_t{2}}) {
+    CsvIngestOptions options;
+    options.chunk_bytes = 1;
+    options.threads = threads;
+    EXPECT_EQ(TableFromCsvParallel(two, two_csv, options).status(), serial)
+        << "threads=" << threads;
+  }
+
+  TableSchema one("t");
+  one.AddAttribute("a", ValueType::kString);
+  const std::string one_csv = "a\nx\n\ny\n";
+  ASSERT_EQ(SerialParse(one, one_csv).num_rows(), 3u);
+  SweepAllChunkSizes(one, one_csv);
+}
+
+// Every CSV error names the record (header = record 1) and the byte where
+// that record starts, with the same text on every path, thread count and
+// chunk size.
+TEST(CsvStreamTest, ErrorTextNamesRecordAndByteOnEveryPath) {
+  TableSchema schema("t");
+  schema.AddAttribute("a", ValueType::kInt);
+  schema.AddAttribute("b", ValueType::kString);
+  const struct {
+    std::string csv;
+    std::string message;
+  } cases[] = {
+      {"a,b\n1,x\nbad,y\n",
+       "CSV record 3 (byte 8): attribute 'a': cannot parse int: 'bad'"},
+      {"a,b\n1,x\n\n2,y\n",
+       "CSV record 3 (byte 8): record arity mismatch in table 't': expected "
+       "2 fields, got 1"},
+      // A quoted line break: the record number is no longer the line.
+      {"a,b\n1,\"two\nlines\"\n2,y,z\n",
+       "CSV record 3 (byte 18): record arity mismatch in table 't': "
+       "expected 2 fields, got 3"},
+      {"a,b\r\n1,x\r\n2,\"open\r\n3,z\r\n",
+       "CSV record 3 (byte 10): unterminated quoted CSV field"},
+      // A cell error in an earlier record beats a later splitting error.
+      {"a,b\n1,x\nbad,y\n2\n",
+       "CSV record 3 (byte 8): attribute 'a': cannot parse int: 'bad'"},
+      {"x,b\n1,y\n", "CSV record 1 (byte 0): header mismatch: expected 'a', "
+                     "got 'x'"},
+      {"a\n1\n", "CSV record 1 (byte 0): header arity mismatch for table "
+                 "'t': expected 2 attributes, got 1"},
+  };
+  for (const auto& c : cases) {
+    const Status serial = TableFromCsv(schema, c.csv).status();
+    EXPECT_EQ(serial.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(serial.message(), c.message);
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      for (size_t chunk_bytes : {size_t{0}, size_t{1}, size_t{5}, size_t{64}}) {
+        CsvIngestOptions options;
+        options.threads = threads;
+        options.chunk_bytes = chunk_bytes;
+        EXPECT_EQ(TableFromCsvParallel(schema, c.csv, options).status(),
+                  serial)
+            << "threads=" << threads << " chunk_bytes=" << chunk_bytes;
+      }
+    }
+  }
+  EXPECT_EQ(TableFromCsvInferred("t", "").status().message(),
+            "CSV record 1 (byte 0): no header row");
+  EXPECT_EQ(TableFromCsvInferred("t", "a,b\n1,x\n2\n").status().message(),
+            "CSV record 3 (byte 8): record arity mismatch in table 't': "
+            "expected 2 fields, got 1");
+}
+
 // ----------------------------------------------------------- file loaders
 
 std::string WriteTempCsv(const std::string& name, const std::string& text) {

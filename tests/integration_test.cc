@@ -149,11 +149,16 @@ TEST(IntegrationTest, GradesViewsCarryCorrectPerExamMatches) {
 /// Invariant: the selected matches are always a subset of the scored pool,
 /// selected views are among the candidates, and evaluation metrics are in
 /// range — across a grid of option combinations.
+/// The test name is gtest's byte dump of this struct, so the tail bytes are
+/// spelled out and zeroed: left as padding they held stack garbage and the
+/// names changed from run to run.
 struct PipelineParam {
   ViewInferenceKind inference;
   SelectionPolicy selection;
   bool early;
+  char zero_tail[3] = {};
 };
+static_assert(sizeof(PipelineParam) == 12, "no implicit padding");
 
 class PipelinePropertyTest : public ::testing::TestWithParam<PipelineParam> {};
 

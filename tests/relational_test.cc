@@ -803,20 +803,6 @@ TEST(ColumnTest, GatherSharesDictionaryUntilMutation) {
   EXPECT_EQ(gathered.at(2, "s"), S("z"));
 }
 
-TEST(TableTest, AddRowFromTextRollsBackOnBadCell) {
-  TableSchema schema("t");
-  schema.AddAttribute("i", ValueType::kInt);
-  schema.AddAttribute("s", ValueType::kString);
-  Table t(schema);
-  ASSERT_TRUE(t.AddRowFromText({"1", "one"}).ok());
-  EXPECT_FALSE(t.AddRowFromText({"not-an-int", "two"}).ok());
-  EXPECT_EQ(t.num_rows(), 1u);  // failed row left no partial cells
-  ASSERT_TRUE(t.AddRowFromText({"3", "three"}).ok());
-  EXPECT_EQ(t.num_rows(), 2u);
-  EXPECT_EQ(t.at(1, "i"), I(3));
-  EXPECT_EQ(t.at(1, "s"), S("three"));
-}
-
 TEST(ConditionTest, MatchingPositionsMatchesPerRowEvaluate) {
   Table t = MakeTable("t", {"s", "i"},
                       {{S("a"), I(1)},
