@@ -16,10 +16,10 @@
 // Build & run:  ./build/examples/match_service_daemon [spool_dir]
 //               ./build/examples/match_service_daemon --health [spool_dir]
 //
-// `--health` brings a service up with the self-healing layer enabled
-// (watchdog, shedding, brownout, breaker), serves one probe request, and
+// `--health` brings a default service up, serves one probe request, and
 // prints the HealthSnapshot as JSON — the readiness answer an operator or
-// load balancer would scrape.  Exit code 0 iff the service reports ready.
+// load balancer would scrape.  Exit code 0 iff the service is accepting
+// and the probe succeeded.
 
 #include <cstdio>
 #include <cstring>
@@ -35,7 +35,7 @@
 
 namespace {
 
-/// --health: stand the resilient service up, probe it, report readiness.
+/// --health: stand a default service up, probe it, report readiness.
 int RunHealthCheck(const std::string& spool) {
   using namespace csm;
   RetailOptions retail_options;
@@ -47,12 +47,6 @@ int RunHealthCheck(const std::string& spool) {
   ServiceOptions options;
   options.engine.threads = 0;
   options.cold_store = &store;
-  options.watchdog_interval_ms = 100;
-  options.queue_target_ms = 500;
-  options.shed_min_depth = 4;
-  options.brownout_enter_fraction = 0.75;
-  options.brownout_exit_fraction = 0.25;
-  options.breaker.failure_threshold = 5;
   MatchService service(options);
 
   MatchRequest probe;
@@ -65,7 +59,7 @@ int RunHealthCheck(const std::string& spool) {
   std::fprintf(stderr, "health: %s; probe %s\n", health.ToString().c_str(),
                probe_ok ? "ok" : "FAILED");
   service.Stop();
-  return health.ready && probe_ok ? 0 : 1;
+  return health.accepting && probe_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -227,20 +227,18 @@ MatchResponse MatchEngine::Execute(const MatchRequest& request,
   switch (request.mode) {
     case MatchMode::kContext:
       response.result = RunPipeline(*request.source, *request.target,
-                                    /*max_stages=*/1, request.baseline_only,
-                                    effective);
+                                    /*max_stages=*/1, effective);
       break;
     case MatchMode::kConjunctive:
       response.result =
           RunPipeline(*request.source, *request.target, request.max_stages,
-                      request.baseline_only, effective);
+                      effective);
       break;
     case MatchMode::kTargetContext: {
       // Reverse the roles: conditions are inferred on the target's tables,
       // then every match is flipped back into source -> target orientation.
       response.result = RunPipeline(*request.target, *request.source,
-                                    /*max_stages=*/1, request.baseline_only,
-                                    effective);
+                                    /*max_stages=*/1, effective);
       // `csm::Match` the struct is qualified here: unqualified `Match`
       // inside a member function names the MatchEngine::Match overload.
       for (const csm::Match& reversed_match : response.result.matches) {
@@ -474,13 +472,8 @@ MatchEngine::SessionLookup MatchEngine::LookupSessions(
 ContextMatchResult MatchEngine::RunPipeline(const Database& source,
                                             const Database& target,
                                             size_t max_stages,
-                                            bool baseline_only,
                                             const CancellationToken* cancel) {
   CSM_CHECK_GE(max_stages, 1u);
-  // Brownout / cheap-answer mode: phase 1 and selection only.  Zero stages
-  // makes the stage loop a no-op and the baseline-selection branch below
-  // the only selection pass.
-  if (baseline_only) max_stages = 0;
   ContextMatchResult result;
   result.threads_used = threads_;
 
@@ -745,13 +738,6 @@ ContextMatchResult MatchEngine::RunPipeline(const Database& source,
 
     result.matches = std::move(selection.matches);
     result.selected_views = std::move(selection.selected_views);
-
-    // A healthy baseline-only run is a *successful* degraded answer: the
-    // caller (or the service's brownout) asked for exactly this much.
-    if (baseline_only && cancelled_phase.empty()) {
-      result.completeness = MatchCompleteness::kBaselineOnly;
-      registry.AddCounter("engine.baseline_only_runs");
-    }
 
     // Pipeline post-conditions: selection can only pick views that were
     // actually scored as candidates, and every recorded view row count is

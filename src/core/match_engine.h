@@ -174,11 +174,8 @@ class MatchEngine {
                                const CancellationToken* cancel);
 
   /// The full staged pipeline behind Match / ConjunctiveMatch.
-  /// `baseline_only` stops after phase 1 + selection (status OK,
-  /// completeness kBaselineOnly) — the brownout/load-shedding answer.
   ContextMatchResult RunPipeline(const Database& source,
                                  const Database& target, size_t max_stages,
-                                 bool baseline_only,
                                  const CancellationToken* cancel);
 
   ContextMatchOptions options_;

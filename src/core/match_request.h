@@ -72,12 +72,6 @@ struct MatchRequest {
   /// it combines with ContextMatchOptions::deadline_ms, whichever fires
   /// first.
   int64_t deadline_ms = 0;
-  /// Run only phase 1 (standard match) and selection over the baseline —
-  /// no contextual stages.  The response is answered OK with completeness
-  /// kBaselineOnly.  The service's brownout mode forces this under
-  /// sustained overload; callers can also request it directly for a cheap
-  /// first answer.
-  bool baseline_only = false;
   std::shared_ptr<const Database> source;
   std::shared_ptr<const Database> target;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -17,20 +16,6 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-double MillisSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
-/// The status a queue-expired ticket is answered with, from the token's
-/// first-writer-wins reason.
-Status ExpiredStatus(const CancellationToken& cancel) {
-  if (cancel.reason() == CancelReason::kDeadline) {
-    return Status::DeadlineExceeded("deadline expired while queued");
-  }
-  return Status::Cancelled("cancelled while queued");
-}
-
 /// Effective token-bucket capacity for a quota (shared by charge + refund).
 double BurstFor(const TenantQuota& quota) {
   return quota.burst > 0.0 ? quota.burst
@@ -41,12 +26,8 @@ double BurstFor(const TenantQuota& quota) {
 
 std::string HealthSnapshot::ToString() const {
   std::ostringstream out;
-  out << (ready ? "ready" : accepting ? "degraded" : "unavailable")
-      << " queue=" << queue_depth << "/" << max_queue
-      << " breaker=" << CircuitBreaker::StateToString(breaker_state)
-      << " brownout=" << (brownout ? "yes" : "no")
-      << " watchdog_cancels=" << (watchdog_stall_cancels + watchdog_deadline_cancels)
-      << " shed=" << shed_aged << " expired=" << expired_in_queue;
+  out << (accepting ? "accepting" : "unavailable") << " queue=" << queue_depth
+      << "/" << max_queue << " expired=" << expired_in_queue;
   if (cold_tier_attached) out << " cold_quarantined=" << cold_tier_quarantined;
   return out.str();
 }
@@ -55,16 +36,8 @@ std::string HealthSnapshot::ToJson() const {
   std::ostringstream out;
   out << "{\n"
       << "  \"accepting\": " << (accepting ? "true" : "false") << ",\n"
-      << "  \"ready\": " << (ready ? "true" : "false") << ",\n"
       << "  \"queue_depth\": " << queue_depth << ",\n"
       << "  \"max_queue\": " << max_queue << ",\n"
-      << "  \"brownout\": " << (brownout ? "true" : "false") << ",\n"
-      << "  \"breaker_state\": \"" << CircuitBreaker::StateToString(breaker_state)
-      << "\",\n"
-      << "  \"watchdog_stall_cancels\": " << watchdog_stall_cancels << ",\n"
-      << "  \"watchdog_deadline_cancels\": " << watchdog_deadline_cancels
-      << ",\n"
-      << "  \"shed_aged\": " << shed_aged << ",\n"
       << "  \"expired_in_queue\": " << expired_in_queue << ",\n"
       << "  \"cold_tier_attached\": " << (cold_tier_attached ? "true" : "false")
       << ",\n"
@@ -74,18 +47,13 @@ std::string HealthSnapshot::ToJson() const {
 }
 
 MatchService::MatchService(ServiceOptions options)
-    : options_(std::move(options)),
-      engine_(options_.engine),
-      breaker_(options_.breaker) {
+    : options_(std::move(options)), engine_(options_.engine) {
   engine_.set_metrics(&metrics_);
   if (options_.tracer != nullptr) engine_.set_tracer(options_.tracer);
   if (options_.cold_store != nullptr) {
     engine_.set_cold_store(options_.cold_store);
   }
   dispatcher_ = std::thread([this] { DispatchLoop(); });
-  if (options_.watchdog_interval_ms > 0) {
-    watchdog_ = std::thread([this] { WatchdogLoop(); });
-  }
 }
 
 MatchService::~MatchService() { Stop(); }
@@ -120,8 +88,6 @@ SubmitHandle MatchService::Submit(MatchRequest request) {
     dedup_key = MixFingerprint(dedup_key, request.max_stages);
     dedup_key =
         MixFingerprint(dedup_key, static_cast<uint64_t>(request.deadline_ms));
-    dedup_key =
-        MixFingerprint(dedup_key, request.baseline_only ? 1ULL : 0ULL);
   }
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -179,24 +145,11 @@ SubmitHandle MatchService::Submit(MatchRequest request) {
         Status::ResourceExhausted("admission queue is full"));
   }
 
-  // Breaker check LAST so a refusal here is the only rejection that can
-  // follow a successful Allow(): every admitted probe maps to exactly one
-  // ticket whose terminal handling records an outcome or releases the slot.
-  if (!breaker_.Allow()) {
-    if (charged_rate_token) {
-      tenant.tokens = std::min(BurstFor(quota), tenant.tokens + 1.0);
-    }
-    metrics_.AddCounter("service.rejected_breaker_open");
-    return RejectedHandle(Status::Unavailable(
-        "backend circuit open; retry after cool-off"));
-  }
-
   auto ticket = std::make_shared<Ticket>();
   ticket->request = std::move(request);
   ticket->dedup_key = dedup_key;
   ticket->future = ticket->promise.get_future().share();
   ticket->admitted = Clock::now();
-  ticket->deadline_ms = ticket->request.deadline_ms;
   ticket->charged_rate_token = charged_rate_token;
   if (ticket->request.deadline_ms > 0) {
     // The budget starts NOW and covers queue time; the dispatcher passes
@@ -252,22 +205,19 @@ void MatchService::DispatchLoop() {
   uint64_t dispatch_seq = 0;
   for (;;) {
     std::shared_ptr<Ticket> ticket;
-    bool brownout_now = false;
-    size_t behind = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stopped_ || !queue_.empty(); });
       if (queue_.empty()) break;  // stopped_ and drained
       ticket = std::move(queue_.front());
       queue_.pop_front();
-      behind = queue_.size();
-      metrics_.SetGauge("service.queue_depth", static_cast<double>(behind));
+      metrics_.SetGauge("service.queue_depth",
+                        static_cast<double>(queue_.size()));
       if (stopped_) {
         // Stop() answers everything still queued without running it; the
         // rate token bought no work, so it goes back.
         lock.unlock();
         RefundRateToken(ticket);
-        breaker_.ReleaseProbe();
         MatchResponse response;
         response.status = Status::Unavailable("service is stopping");
         response.completeness = MatchCompleteness::kBaselineOnly;
@@ -275,196 +225,50 @@ void MatchService::DispatchLoop() {
         Deliver(ticket, std::move(response));
         continue;
       }
-      // Brownout tracking on the post-pop depth: sustained congestion
-      // (brownout_consecutive dispatches at/above the watermark) flips the
-      // service into baseline-only mode until the queue drains.
-      if (options_.brownout_enter_fraction > 0.0 && options_.max_queue > 0) {
-        const auto enter_depth = static_cast<size_t>(std::ceil(
-            options_.brownout_enter_fraction *
-            static_cast<double>(options_.max_queue)));
-        const auto exit_depth = static_cast<size_t>(
-            options_.brownout_exit_fraction *
-            static_cast<double>(options_.max_queue));
-        if (!brownout_) {
-          if (enter_depth > 0 && behind >= enter_depth) {
-            if (++congested_streak_ >=
-                std::max(options_.brownout_consecutive, 1)) {
-              brownout_ = true;
-              metrics_.AddCounter("service.brownout_entered");
-            }
-          } else {
-            congested_streak_ = 0;
-          }
-        } else if (behind <= exit_depth) {
-          brownout_ = false;
-          congested_streak_ = 0;
-          metrics_.AddCounter("service.brownout_exited");
-        }
-        brownout_now = brownout_;
-      }
     }
 
-    // Heartbeat BEFORE the test gate: a dispatcher stuck in the gate (how
-    // tests simulate a stall) looks to the watchdog exactly like one stuck
-    // anywhere else pre-run.
-    {
-      std::lock_guard<std::mutex> watch(watch_mu_);
-      active_ticket_ = ticket;
-      active_since_ = Clock::now();
-      active_running_ = false;
-    }
     if (options_.test_dispatch_gate) options_.test_dispatch_gate();
-
-    // Claim the ticket under watch_mu_: once active_running_ is true the
-    // watchdog will never steal it, and if the watchdog already answered it
-    // (stall cancel) we must not touch it again.
-    bool stolen = false;
-    {
-      std::lock_guard<std::mutex> watch(watch_mu_);
-      active_running_ = true;
-      stolen = ticket->watchdog_cancelled.load(std::memory_order_acquire);
-    }
-    if (stolen) {
-      std::lock_guard<std::mutex> watch(watch_mu_);
-      active_ticket_.reset();
-      active_running_ = false;
-      continue;
-    }
 
     const uint64_t seq = dispatch_seq++;
     MatchResponse response;
     const double queue_seconds = SecondsSince(ticket->admitted);
     if (FaultInjector::Hit("service.dispatch", seq)) {
-      // Injected dispatch fault: a definitive retryable answer, and a
-      // trip-class outcome for the breaker — this is how chaos schedules
-      // exercise open/half-open/close without a broken engine.
+      // Injected dispatch fault: a definitive retryable answer without a
+      // broken engine.
       response.status = Status::Unavailable("injected dispatch fault");
       response.completeness = MatchCompleteness::kBaselineOnly;
       metrics_.AddCounter("service.dispatch_faults");
-      breaker_.RecordFailure(StatusCode::kUnavailable);
     } else if (ticket->cancel.cancelled()) {
       // The budget ran out while queued: answer without touching the
       // engine.  kBaselineOnly — not even the baseline ran.
-      response.status = ExpiredStatus(ticket->cancel);
+      response.status =
+          Status::DeadlineExceeded("deadline expired while queued");
       response.completeness = MatchCompleteness::kBaselineOnly;
       metrics_.AddCounter("service.expired_in_queue");
       RefundRateToken(ticket);
-      breaker_.ReleaseProbe();
-    } else if (options_.queue_target_ms > 0 &&
-               queue_seconds * 1000.0 >
-                   static_cast<double>(options_.queue_target_ms) &&
-               behind >= options_.shed_min_depth) {
-      // CoDel-style shed: this request aged past the target AND the queue
-      // behind it is still congested — running it would make every waiter
-      // later.  Shed with a definitive retryable status.
-      response.status = Status::ResourceExhausted(
-          "shed: queue delay exceeded target under congestion");
-      response.completeness = MatchCompleteness::kBaselineOnly;
-      metrics_.AddCounter("service.shed_aged");
-      RefundRateToken(ticket);
-      breaker_.ReleaseProbe();
     } else {
-      if (brownout_now && !ticket->request.baseline_only) {
-        ticket->request.baseline_only = true;
-        metrics_.AddCounter("service.brownout_runs");
-      }
       const auto start = Clock::now();
       response = engine_.Execute(ticket->request, &ticket->cancel);
       response.run_seconds = SecondsSince(start);
       metrics_.Observe("service.run_seconds", response.run_seconds);
       metrics_.AddCounter("service.completed");
-      if (response.status.ok()) {
-        breaker_.RecordSuccess();
-      } else {
-        breaker_.RecordFailure(response.status.code());
-      }
     }
     response.queue_seconds = queue_seconds;
     metrics_.Observe("service.queue_seconds", queue_seconds);
     metrics_.Observe("service.total_seconds",
                      queue_seconds + response.run_seconds);
     Deliver(ticket, std::move(response));
-    {
-      std::lock_guard<std::mutex> watch(watch_mu_);
-      active_ticket_.reset();
-      active_running_ = false;
-    }
-  }
-}
-
-void MatchService::WatchdogLoop() {
-  const int64_t interval = options_.watchdog_interval_ms;
-  const int64_t stall_ms =
-      options_.watchdog_stall_ms > 0 ? options_.watchdog_stall_ms : interval;
-  std::unique_lock<std::mutex> lock(watch_mu_);
-  while (!watch_stop_) {
-    watch_cv_.wait_for(lock, std::chrono::milliseconds(interval));
-    if (watch_stop_) break;
-    metrics_.AddCounter("service.watchdog_ticks");
-    if (active_ticket_ == nullptr) continue;
-    std::shared_ptr<Ticket> ticket = active_ticket_;
-    if (!active_running_) {
-      // Dispatcher picked the ticket up but never started the run: a stall
-      // (stuck gate, livelocked pop path).  Detection bound: the stall
-      // began at most one interval before the tick that crosses stall_ms,
-      // so a stuck dispatch is caught within stall_ms + interval — with
-      // the default stall_ms == interval, within 2x the heartbeat.
-      if (MillisSince(active_since_) > static_cast<double>(stall_ms) &&
-          !ticket->watchdog_cancelled.load(std::memory_order_acquire)) {
-        ticket->watchdog_cancelled.store(true, std::memory_order_release);
-        ticket->cancel.Cancel(CancelReason::kCaller);
-        metrics_.AddCounter("service.watchdog_stall_cancels");
-        // Answer the waiters from here: the dispatcher may never return.
-        // The claim protocol (active_running_ + watchdog_cancelled, both
-        // under watch_mu_) guarantees the dispatcher won't also deliver.
-        lock.unlock();
-        RefundRateToken(ticket);
-        breaker_.ReleaseProbe();
-        MatchResponse response;
-        response.status =
-            Status::Unavailable("watchdog cancelled a stalled dispatch");
-        response.completeness = MatchCompleteness::kBaselineOnly;
-        Deliver(ticket, std::move(response));
-        lock.lock();
-      }
-    } else if (ticket->deadline_ms > 0 && options_.watchdog_grace > 0.0) {
-      // Mid-run overrun: the engine should degrade by polling its token,
-      // but if a phase wedges past grace * deadline, force the token so
-      // every poll site drains.  Delivery stays with the dispatcher — the
-      // run is still attached to the engine.
-      const double limit_ms =
-          options_.watchdog_grace * static_cast<double>(ticket->deadline_ms);
-      if (MillisSince(ticket->admitted) > limit_ms &&
-          !ticket->watchdog_cancelled.load(std::memory_order_acquire)) {
-        // The flag only marks "watchdog acted once" here: the run is
-        // already claimed (active_running_), so the dispatcher still owns
-        // delivery.  Cancel is first-writer-wins; if the token's own
-        // deadline fired first this just backstops unpolled runs.
-        ticket->watchdog_cancelled.store(true, std::memory_order_release);
-        ticket->cancel.Cancel(CancelReason::kDeadline);
-        metrics_.AddCounter("service.watchdog_deadline_cancels");
-      }
-    }
   }
 }
 
 HealthSnapshot MatchService::Health() const {
   HealthSnapshot health;
-  health.breaker_state = breaker_.state();
   {
     std::lock_guard<std::mutex> lock(mu_);
+    health.accepting = !stopped_;
     health.queue_depth = queue_.size();
-    health.max_queue = options_.max_queue;
-    health.brownout = brownout_;
-    health.accepting =
-        !stopped_ && health.breaker_state != CircuitBreaker::State::kOpen;
   }
-  health.ready = health.accepting && !health.brownout;
-  health.watchdog_stall_cancels =
-      metrics_.Counter("service.watchdog_stall_cancels");
-  health.watchdog_deadline_cancels =
-      metrics_.Counter("service.watchdog_deadline_cancels");
-  health.shed_aged = metrics_.Counter("service.shed_aged");
+  health.max_queue = options_.max_queue;
   health.expired_in_queue = metrics_.Counter("service.expired_in_queue");
   health.cold_tier_attached = options_.cold_store != nullptr;
   if (options_.cold_store != nullptr) {
@@ -476,17 +280,10 @@ HealthSnapshot MatchService::Health() const {
 void MatchService::Stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_ && !dispatcher_.joinable() && !watchdog_.joinable()) return;
     stopped_ = true;
   }
   cv_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  {
-    std::lock_guard<std::mutex> watch(watch_mu_);
-    watch_stop_ = true;
-  }
-  watch_cv_.notify_all();
-  if (watchdog_.joinable()) watchdog_.join();
+  std::call_once(join_once_, [this] { dispatcher_.join(); });
 }
 
 size_t MatchService::queue_depth() const {

@@ -24,33 +24,15 @@
 //     one that expires mid-run degrades per the PR 3 per-phase contracts —
 //     degradation IS the overload story, not a special case.
 //
-// On top of admission control the service self-heals (see DESIGN.md
-// "Resilience & self-healing"; every knob below defaults OFF so the plain
-// daemon behaves exactly as before):
+// Every answer is definitive: the run's own status, or a service-level
+// code — kResourceExhausted at admission, kDeadlineExceeded for a request
+// that expired in the queue, kUnavailable once stopped or on an injected
+// "service.dispatch" fault.  Requests answered without an engine run refund
+// their rate token.
 //
-//   * Watchdog (watchdog_interval_ms): a thread that checks dispatcher
-//     heartbeats every interval.  A dispatch stalled pre-run longer than
-//     watchdog_stall_ms is cancelled via the ticket's CancellationToken and
-//     answered kUnavailable; a run that exceeds its request deadline by
-//     watchdog_grace is force-cancelled (kDeadline) even if the engine
-//     never polls.  No request can hang forever.
-//   * Adaptive load shedding (queue_target_ms): CoDel-style — a popped
-//     request that aged past the target while the queue is still congested
-//     (>= shed_min_depth behind it) is shed with kResourceExhausted before
-//     it wastes engine time.  Shed requests refund their rate token.
-//   * Brownout (brownout_enter_fraction): sustained congestion (the queue
-//     at/above the watermark for brownout_consecutive dispatches) flips the
-//     service into brownout, forcing baseline-only runs (completeness
-//     kBaselineOnly, status OK) until the queue drains to
-//     brownout_exit_fraction — cheap answers instead of slow rejections.
-//   * Backend circuit breaker (breaker.failure_threshold): consecutive
-//     engine-run failures (kInternal / kDeadlineExceeded / kUnavailable)
-//     open the circuit; while open, Submit rejects with kUnavailable
-//     without queueing; after breaker.open_ms one half-open probe request
-//     is admitted and its outcome closes or re-opens the circuit.
-//   * Health(): a point-in-time readiness snapshot (queue depth, breaker
-//     state, brownout flag, watchdog/shed counters, cold-tier quarantine
-//     count) — the same numbers the daemon's --health mode prints.
+// Health() is a point-in-time snapshot (accepting, queue depth, queue
+// expiries, cold-tier quarantine count) — the same numbers the daemon's
+// --health mode prints.
 //
 // Results are delivered through shared_futures, so Submit never blocks on
 // matching work and any number of threads can wait on one response.  All
@@ -58,13 +40,12 @@
 // queue/run latency histograms with p50/p95/p99) — bench_service_load
 // builds its report from exactly this registry.
 //
-// Thread safety: Submit / Call / Stop / queue_depth are safe from any
-// thread.  engine() is exposed for setup and post-Stop inspection only.
+// Thread safety: Submit / Call / Stop / queue_depth / Health are safe from
+// any thread.  engine() is exposed for setup and post-Stop inspection only.
 
 #ifndef CSM_SERVICE_MATCH_SERVICE_H_
 #define CSM_SERVICE_MATCH_SERVICE_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -77,7 +58,6 @@
 #include <string>
 #include <thread>
 
-#include "common/retry.h"
 #include "core/match_engine.h"
 #include "core/match_request.h"
 #include "core/session_store.h"
@@ -112,34 +92,6 @@ struct ServiceOptions {
   /// Optional tracer, forwarded to the engine.  Must outlive the service.
   obs::Tracer* tracer = nullptr;
 
-  // --- Self-healing (all OFF by default; see the header comment) ---------
-
-  /// Watchdog wake-up period; 0 disables the watchdog thread.
-  int64_t watchdog_interval_ms = 0;
-  /// Pre-run dispatch stall threshold; 0 defaults to watchdog_interval_ms
-  /// (so a stall is detected within two intervals).
-  int64_t watchdog_stall_ms = 0;
-  /// A running request is force-cancelled once its wall time exceeds
-  /// watchdog_grace * its deadline (requests without a deadline are never
-  /// run-cancelled).
-  double watchdog_grace = 2.0;
-  /// CoDel-style shedding: a popped request that waited longer than this is
-  /// shed with kResourceExhausted when the queue behind it is still at
-  /// least shed_min_depth deep.  0 disables shedding.
-  int64_t queue_target_ms = 0;
-  size_t shed_min_depth = 1;
-  /// Brownout entry watermark as a fraction of max_queue (queue depth
-  /// observed after each pop); 0 disables brownout.
-  double brownout_enter_fraction = 0.0;
-  /// Brownout exits once the post-pop depth falls to this fraction.
-  double brownout_exit_fraction = 0.0;
-  /// Consecutive congested dispatches required to enter brownout.
-  int brownout_consecutive = 3;
-  /// Backend circuit breaker over engine-run outcomes.  Disabled by
-  /// default (failure_threshold = 0); set breaker.failure_threshold > 0 to
-  /// enable.  breaker.now_ms lets tests drive the open -> half-open
-  /// transition with a manual clock.
-  CircuitBreakerOptions breaker = DisabledBreakerOptions();
   /// Test hook: when set, the dispatcher calls this after popping each
   /// ticket, outside all locks, before the expiry check and engine run.  A
   /// blocking gate lets tests hold the dispatcher still while they fill the
@@ -158,24 +110,18 @@ struct SubmitHandle {
 /// Point-in-time readiness snapshot (MatchService::Health): what an
 /// operator or load balancer needs to decide "send traffic here?".
 struct HealthSnapshot {
-  /// Submit would not reject outright (not stopped, breaker not open).
+  /// Submit would not reject outright (the service is not stopped).
   bool accepting = false;
-  /// accepting AND serving full-quality answers (no brownout).
-  bool ready = false;
   size_t queue_depth = 0;
   size_t max_queue = 0;
-  bool brownout = false;
-  CircuitBreaker::State breaker_state = CircuitBreaker::State::kClosed;
-  uint64_t watchdog_stall_cancels = 0;
-  uint64_t watchdog_deadline_cancels = 0;
-  uint64_t shed_aged = 0;
+  /// Requests whose deadline ran out while queued (answered unrun).
   uint64_t expired_in_queue = 0;
   bool cold_tier_attached = false;
   /// Corrupt/truncated cold-tier blobs set aside (SessionColdStore::
   /// Quarantined); non-zero means the spool saw torn writes or bit rot.
   uint64_t cold_tier_quarantined = 0;
 
-  /// One-line human summary ("ready queue=3/64 breaker=closed ...").
+  /// One-line human summary ("accepting queue=3/64 expired=0 ...").
   std::string ToString() const;
   /// JSON object with the same fields (the daemon's --health output).
   std::string ToJson() const;
@@ -203,7 +149,8 @@ class MatchService {
 
   /// Stops admission, lets the in-flight run finish, answers every still
   /// queued request with kUnavailable, and joins the dispatcher.
-  /// Idempotent; called by the destructor.
+  /// Idempotent and safe to call concurrently: every caller returns only
+  /// after the dispatcher has exited.  Called by the destructor.
   void Stop();
 
   /// Requests admitted and currently waiting for the dispatcher.
@@ -230,16 +177,9 @@ class MatchService {
     std::shared_future<MatchResponse> future;
     CancellationToken cancel;
     std::chrono::steady_clock::time_point admitted;
-    /// Original request deadline (the token's is consumed at admission);
-    /// the watchdog's grace check needs the raw number.
-    int64_t deadline_ms = 0;
     /// True when admission charged a rate token: answers that never reach
-    /// the engine (expired in queue, shed, stall-cancelled, stop-drained)
-    /// refund it.
+    /// the engine (expired in queue, stop-drained) refund it.
     bool charged_rate_token = false;
-    /// Set by the watchdog when it cancels a pre-run stall, so the
-    /// dispatcher answers kUnavailable instead of kDeadlineExceeded.
-    std::atomic<bool> watchdog_cancelled{false};
   };
 
   struct TenantState {
@@ -252,7 +192,6 @@ class MatchService {
   const TenantQuota& QuotaFor(const std::string& tenant) const;
   static SubmitHandle RejectedHandle(Status status);
   void DispatchLoop();
-  void WatchdogLoop();
   /// Returns the ticket's rate token to its tenant's bucket (clamped to
   /// burst).  Call only for tickets answered without an engine run.
   void RefundRateToken(const std::shared_ptr<Ticket>& ticket);
@@ -263,7 +202,6 @@ class MatchService {
   ServiceOptions options_;
   MatchEngine engine_;
   obs::MetricsRegistry metrics_;
-  CircuitBreaker breaker_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -272,24 +210,11 @@ class MatchService {
   std::map<uint64_t, std::shared_ptr<Ticket>> in_flight_;
   std::map<std::string, TenantState> tenants_;
   bool stopped_ = false;
-  /// Brownout state, guarded by mu_: consecutive congested dispatches and
-  /// whether baseline-only mode is currently forced.
-  int congested_streak_ = 0;
-  bool brownout_ = false;
-
-  /// Dispatcher heartbeat, guarded by watch_mu_: the ticket currently held
-  /// by the dispatcher (between pop and Deliver), when it was picked up,
-  /// and whether the engine run has started.  The watchdog reads these to
-  /// tell a pre-run stall from a deadline-overrunning run.
-  mutable std::mutex watch_mu_;
-  std::condition_variable watch_cv_;
-  std::shared_ptr<Ticket> active_ticket_;
-  std::chrono::steady_clock::time_point active_since_;
-  bool active_running_ = false;
-  bool watch_stop_ = false;
 
   std::thread dispatcher_;
-  std::thread watchdog_;
+  /// Stop() joins the dispatcher through this, so concurrent callers never
+  /// join the same thread twice and all of them wait for the join.
+  std::once_flag join_once_;
 };
 
 }  // namespace csm

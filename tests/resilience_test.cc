@@ -1,12 +1,10 @@
-// The self-healing layer end to end: retry/backoff/budget primitives, the
-// circuit breaker state machine, watchdog stall + deadline enforcement,
-// CoDel-style shedding, brownout, quota edge cases, MatchClient behavior,
+// The service's failure behavior end to end: definitive answers under a
+// scripted dispatch-fault schedule, the health snapshot, quota edge cases,
 // and the crash-safe cold tier (truncated-blob quarantine, kill-and-restart
-// recovery).  Deterministic throughout: breakers run on manual clocks,
-// backoff schedules on seeded Rngs, faults on scripted FaultInjector
-// specs, and the dispatcher is held still with test_dispatch_gate wherever
-// exact queue depths matter.  The CI `chaos` job runs this binary under
-// TSan with the service_test alongside.
+// recovery, non-fatal store writes).  Deterministic throughout: faults run
+// on scripted FaultInjector specs, and the dispatcher is held still with
+// test_dispatch_gate wherever exact queue depths matter.  The CI `service`
+// job runs this binary under TSan alongside service_test.
 
 #include <unistd.h>
 
@@ -24,12 +22,9 @@
 
 #include "check/fingerprint.h"
 #include "common/fault_injector.h"
-#include "common/random.h"
-#include "common/retry.h"
 #include "core/match_engine.h"
 #include "datagen/retail_gen.h"
 #include "service/disk_store.h"
-#include "service/match_client.h"
 #include "service/match_service.h"
 
 namespace csm {
@@ -59,11 +54,9 @@ MatchRequest RequestOver(const RetailDataset& data, int64_t deadline_ms,
   return request;
 }
 
-/// A dispatcher gate that can open and close repeatedly (service_test's
-/// one-shot gate, plus Close for the half-open-probe test).
-class ToggleGate {
+/// A dispatcher gate: closed until Open(), counting dispatcher entries.
+class Gate {
  public:
-  explicit ToggleGate(bool open = false) : open_(open) {}
 
   std::function<void()> AsHook() {
     return [this] {
@@ -81,23 +74,16 @@ class ToggleGate {
     cv_.notify_all();
   }
 
-  void Close() {
-    std::lock_guard<std::mutex> lock(mu_);
-    open_ = false;
-  }
-
   void AwaitEntered(int n) {
     while (entered_.load() < n) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
 
-  int entered() const { return entered_.load(); }
-
  private:
   std::mutex mu_;
   std::condition_variable cv_;
-  bool open_;
+  bool open_ = false;
   std::atomic<int> entered_{0};
 };
 
@@ -116,379 +102,63 @@ class ResilienceTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// Retry primitives
+// Health snapshot
 // ---------------------------------------------------------------------------
-
-TEST(RetryPolicyTest, BackoffIsJitteredBoundedAndDeterministic) {
-  RetryPolicy policy;
-  policy.initial_backoff_ms = 10.0;
-  policy.max_backoff_ms = 200.0;
-
-  Rng rng_a(42), rng_b(42);
-  double prev_a = 0.0, prev_b = 0.0;
-  for (int i = 0; i < 32; ++i) {
-    const double hi = std::max(policy.initial_backoff_ms, 3.0 * prev_a);
-    const double next_a = policy.NextBackoffMs(prev_a, rng_a);
-    const double next_b = policy.NextBackoffMs(prev_b, rng_b);
-    // Same seed, same schedule — bit-identical.
-    EXPECT_EQ(next_a, next_b);
-    EXPECT_GE(next_a, policy.initial_backoff_ms);
-    EXPECT_LE(next_a, std::min(hi * 3.0, policy.max_backoff_ms) + 1e-9);
-    EXPECT_LE(next_a, policy.max_backoff_ms);
-    prev_a = next_a;
-    prev_b = next_b;
-  }
-}
-
-TEST(RetryBudgetTest, SpendsToZeroAndRefillsOnSuccess) {
-  RetryBudget budget(2.0, 0.5);
-  EXPECT_TRUE(budget.TrySpend());
-  EXPECT_TRUE(budget.TrySpend());
-  EXPECT_FALSE(budget.TrySpend()) << "capacity 2 allows exactly 2 retries";
-  budget.RecordSuccess();
-  budget.RecordSuccess();
-  EXPECT_TRUE(budget.TrySpend()) << "two successes refill one token";
-  EXPECT_FALSE(budget.TrySpend());
-
-  RetryBudget unlimited(0.0, 0.0);
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(unlimited.TrySpend());
-}
-
-TEST(CircuitBreakerTest, OpensHalfOpensAndClosesOnManualClock) {
-  int64_t now = 0;
-  CircuitBreakerOptions options;
-  options.failure_threshold = 3;
-  options.open_ms = 100;
-  options.now_ms = [&now] { return now; };
-  CircuitBreaker breaker(options);
-
-  // Closed: trip-class failures accumulate, a success resets the streak.
-  EXPECT_TRUE(breaker.Allow());
-  breaker.RecordFailure(StatusCode::kUnavailable);
-  breaker.RecordFailure(StatusCode::kUnavailable);
-  breaker.RecordSuccess();
-  breaker.RecordFailure(StatusCode::kUnavailable);
-  breaker.RecordFailure(StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  breaker.RecordFailure(StatusCode::kInternal);
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(breaker.trips(), 1u);
-
-  // Open: refused without touching the backend until open_ms elapses.
-  EXPECT_FALSE(breaker.Allow());
-  now = 99;
-  EXPECT_FALSE(breaker.Allow());
-
-  // Half-open admits exactly one probe; concurrent calls keep refusing.
-  now = 100;
-  EXPECT_TRUE(breaker.Allow());
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  EXPECT_FALSE(breaker.Allow());
-  EXPECT_FALSE(breaker.Allow());
-
-  // Probe failure re-opens for another full window.
-  breaker.RecordFailure(StatusCode::kUnavailable);
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(breaker.trips(), 2u);
-  EXPECT_FALSE(breaker.Allow());
-
-  // Next window's probe succeeds and closes the circuit.
-  now = 250;
-  EXPECT_TRUE(breaker.Allow());
-  breaker.RecordSuccess();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_TRUE(breaker.Allow());
-}
-
-TEST(CircuitBreakerTest, ReleaseProbeFreesTheHalfOpenSlot) {
-  int64_t now = 0;
-  CircuitBreakerOptions options;
-  options.failure_threshold = 1;
-  options.open_ms = 10;
-  options.now_ms = [&now] { return now; };
-  CircuitBreaker breaker(options);
-  breaker.RecordFailure(StatusCode::kUnavailable);
-  now = 10;
-  EXPECT_TRUE(breaker.Allow());
-  EXPECT_FALSE(breaker.Allow());
-  // The probe was answered without reaching the backend (e.g. shed): the
-  // slot frees and the next request becomes the probe.
-  breaker.ReleaseProbe();
-  EXPECT_TRUE(breaker.Allow());
-  // Non-trip outcomes release the slot too, and judge nothing.
-  breaker.RecordFailure(StatusCode::kResourceExhausted);
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  EXPECT_TRUE(breaker.Allow());
-}
-
-TEST(CircuitBreakerTest, DisabledBreakerAlwaysAllows) {
-  CircuitBreaker breaker(DisabledBreakerOptions());
-  for (int i = 0; i < 10; ++i) {
-    breaker.RecordFailure(StatusCode::kUnavailable);
-    EXPECT_TRUE(breaker.Allow());
-  }
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-}
-
-// ---------------------------------------------------------------------------
-// Service self-healing: breaker, watchdog, shedding, brownout, health
-// ---------------------------------------------------------------------------
-
-TEST_F(ResilienceTest, BreakerOpensOnDispatchFaultsAndHalfOpenAdmitsOne) {
-  RetailDataset data = SmallRetail(3);
-  int64_t now = 0;
-  std::mutex now_mu;  // the breaker clock is read from service threads
-  ToggleGate gate(/*open=*/true);
-  ServiceOptions options;
-  options.engine = FastEngine();
-  options.breaker.failure_threshold = 2;
-  options.breaker.open_ms = 1000;
-  options.breaker.now_ms = [&] {
-    std::lock_guard<std::mutex> lock(now_mu);
-    return now;
-  };
-  options.test_dispatch_gate = gate.AsHook();
-  MatchService service(options);
-
-  // Two injected dispatch faults in a row trip the breaker.
-  FaultInjector::ArmSpec spec;
-  spec.site = "service.dispatch";
-  spec.action = FaultInjector::Action::kFail;
-  spec.fire_limit = 2;
-  FaultInjector::Arm(spec);
-
-  EXPECT_EQ(service.Call(RequestOver(data, 60001)).status.code(),
-            StatusCode::kUnavailable);
-  EXPECT_EQ(service.Call(RequestOver(data, 60002)).status.code(),
-            StatusCode::kUnavailable);
-  EXPECT_EQ(service.metrics().Counter("service.dispatch_faults"), 2u);
-
-  // Open: rejected at Submit, before queueing.
-  MatchResponse rejected = service.Call(RequestOver(data, 60003));
-  EXPECT_EQ(rejected.status.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(service.metrics().Counter("service.rejected_breaker_open"), 1u);
-  EXPECT_EQ(service.metrics().Counter("service.admitted"), 2u);
-  EXPECT_FALSE(service.Health().accepting);
-
-  // Cool-off elapses: exactly one probe goes through; a second submission
-  // while the probe is in flight is still refused.
-  {
-    std::lock_guard<std::mutex> lock(now_mu);
-    now = 1000;
-  }
-  gate.Close();
-  SubmitHandle probe = service.Submit(RequestOver(data, 60004));
-  gate.AwaitEntered(3);  // parked pre-run: probe admitted, not yet judged
-  MatchResponse refused = service.Submit(RequestOver(data, 60005)).future.get();
-  EXPECT_EQ(refused.status.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(service.metrics().Counter("service.rejected_breaker_open"), 2u);
-
-  // The probe succeeds (faults exhausted) and closes the circuit.
-  gate.Open();
-  EXPECT_TRUE(probe.future.get().ok());
-  EXPECT_TRUE(service.Call(RequestOver(data, 60006)).ok());
-  EXPECT_TRUE(service.Health().accepting);
-  service.Stop();
-}
-
-TEST_F(ResilienceTest, WatchdogCancelsStalledDispatchWithinTwoIntervals) {
-  RetailDataset data = SmallRetail(3);
-  ToggleGate gate;  // closed: the dispatcher wedges in the gate
-  ServiceOptions options;
-  options.engine = FastEngine();
-  options.watchdog_interval_ms = 20;
-  options.tenant_quotas[""].requests_per_second = 1000.0;
-  options.tenant_quotas[""].burst = 8;
-  options.test_dispatch_gate = gate.AsHook();
-  MatchService service(options);
-
-  const auto submitted = std::chrono::steady_clock::now();
-  SubmitHandle stuck = service.Submit(RequestOver(data, 60001));
-  gate.AwaitEntered(1);
-
-  // The waiter is answered by the watchdog even though the dispatcher
-  // never comes back — no hung request.
-  MatchResponse response = stuck.future.get();
-  const double elapsed_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - submitted)
-                                .count();
-  EXPECT_EQ(response.status.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(response.completeness, MatchCompleteness::kBaselineOnly);
-  EXPECT_GE(service.metrics().Counter("service.watchdog_stall_cancels"), 1u);
-  // Detection bound: stall_ms (= interval) + one interval of tick skew,
-  // plus slop for a loaded CI machine.
-  EXPECT_LT(elapsed_ms, 20.0 * 2 + 250.0);
-  // The stalled request never bought work: its rate token came back.
-  EXPECT_EQ(service.metrics().Counter("service.rate_tokens_refunded"), 1u);
-
-  gate.Open();  // release the dispatcher so Stop can join
-  service.Stop();
-}
-
-TEST_F(ResilienceTest, WatchdogForcesDeadlineOnWedgedRun) {
-  RetailDataset data = SmallRetail(3);
-  ServiceOptions options;
-  options.engine = FastEngine();
-  options.watchdog_interval_ms = 5;
-  options.watchdog_stall_ms = 10000;  // stall-steal path is not under test
-  options.watchdog_grace = 1.5;
-  MatchService service(options);
-
-  // Wedge the run at its very first unit of work, so it is provably
-  // mid-run (not merely slow) when grace * deadline elapses.  The
-  // watchdog must force the token so every later poll site drains.
-  FaultInjector::ArmSpec spec;
-  spec.site = "standard.session";
-  spec.action = FaultInjector::Action::kSleep;
-  spec.sleep_ms = 400;
-  spec.fire_limit = 1;
-  FaultInjector::Arm(spec);
-
-  MatchResponse response = service.Call(RequestOver(data, /*deadline_ms=*/20));
-  EXPECT_GE(service.metrics().Counter("service.watchdog_deadline_cancels"),
-            1u);
-  // The run degraded instead of hanging: definitive status, partial answer.
-  EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_NE(response.completeness, MatchCompleteness::kComplete);
-  service.Stop();
-}
-
-TEST_F(ResilienceTest, CoDelShedsAgedRequestsUnderCongestionAndRefunds) {
-  RetailDataset data = SmallRetail(3);
-  ToggleGate gate;
-  ServiceOptions options;
-  options.engine = FastEngine();
-  options.queue_target_ms = 1;
-  options.shed_min_depth = 2;
-  options.tenant_quotas[""].requests_per_second = 1000.0;
-  options.tenant_quotas[""].burst = 8;
-  options.test_dispatch_gate = gate.AsHook();
-  MatchService service(options);
-
-  // One parked at the gate, four queued behind it, all aging past the
-  // 1 ms target while the gate is closed.
-  SubmitHandle running = service.Submit(RequestOver(data, 60001));
-  gate.AwaitEntered(1);
-  std::vector<SubmitHandle> queued;
-  for (int i = 0; i < 4; ++i) {
-    queued.push_back(service.Submit(RequestOver(data, 60002 + i)));
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  gate.Open();
-
-  // The parked request popped with an empty queue behind it (depth 0 at
-  // pop): aged but not congested, so it runs.  Pops with >= 2 still queued
-  // behind them are shed; the final two run.
-  EXPECT_TRUE(running.future.get().ok());
-  int shed = 0, ran = 0;
-  for (auto& handle : queued) {
-    MatchResponse response = handle.future.get();
-    if (response.status.code() == StatusCode::kResourceExhausted) {
-      EXPECT_EQ(response.completeness, MatchCompleteness::kBaselineOnly);
-      ++shed;
-    } else {
-      EXPECT_TRUE(response.ok());
-      ++ran;
-    }
-  }
-  EXPECT_EQ(shed, 2);
-  EXPECT_EQ(ran, 2);
-  EXPECT_EQ(service.metrics().Counter("service.shed_aged"), 2u);
-  // Shed before dispatch = tokens refunded, full quota accounting.
-  EXPECT_EQ(service.metrics().Counter("service.rate_tokens_refunded"), 2u);
-  service.Stop();
-}
-
-TEST_F(ResilienceTest, BrownoutForcesBaselineOnlyUnderSustainedCongestion) {
-  RetailDataset data = SmallRetail(3);
-  ToggleGate gate;
-  ServiceOptions options;
-  options.engine = FastEngine();
-  options.max_queue = 8;
-  options.brownout_enter_fraction = 0.5;  // enter at post-pop depth >= 4
-  options.brownout_exit_fraction = 0.0;   // exit only when drained
-  options.brownout_consecutive = 2;
-  options.test_dispatch_gate = gate.AsHook();
-  MatchService service(options);
-
-  SubmitHandle parked = service.Submit(RequestOver(data, 60001));
-  gate.AwaitEntered(1);
-  std::vector<SubmitHandle> queued;
-  for (int i = 0; i < 6; ++i) {
-    queued.push_back(service.Submit(RequestOver(data, 60002 + i)));
-  }
-  gate.Open();
-
-  // Post-pop depths run 5,4,3,2,1,0: two consecutive >= 4 enter brownout;
-  // depth 0 exits it.  Brownout answers are OK but baseline-only.
-  EXPECT_TRUE(parked.future.get().ok());
-  int baseline_only = 0;
-  for (auto& handle : queued) {
-    MatchResponse response = handle.future.get();
-    ASSERT_TRUE(response.ok()) << response.status.ToString();
-    if (response.completeness == MatchCompleteness::kBaselineOnly) {
-      ++baseline_only;
-    }
-  }
-  EXPECT_GE(baseline_only, 1);
-  EXPECT_GE(service.metrics().Counter("service.brownout_entered"), 1u);
-  EXPECT_GE(service.metrics().Counter("service.brownout_exited"), 1u);
-  EXPECT_EQ(service.metrics().Counter("service.brownout_runs"),
-            static_cast<uint64_t>(baseline_only));
-  EXPECT_GE(service.metrics().Counter("engine.baseline_only_runs"),
-            static_cast<uint64_t>(baseline_only));
-  // Back out of brownout: a fresh request gets the full pipeline again.
-  MatchResponse after = service.Call(RequestOver(data, 60050));
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after.completeness, MatchCompleteness::kComplete);
-  EXPECT_TRUE(service.Health().ready);
-  service.Stop();
-}
-
-TEST_F(ResilienceTest, BaselineOnlyRequestMatchesStandardBaseline) {
-  RetailDataset data = SmallRetail(3);
-  ServiceOptions options;
-  options.engine = FastEngine();
-  MatchService service(options);
-  MatchRequest request = RequestOver(data, 0);
-  request.baseline_only = true;
-  MatchResponse response = service.Call(request);
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response.completeness, MatchCompleteness::kBaselineOnly);
-  // A baseline-only run and a full run are distinct dedup keys: the full
-  // answer must not be served from the brownout twin.
-  MatchResponse full = service.Call(RequestOver(data, 0));
-  ASSERT_TRUE(full.ok());
-  EXPECT_EQ(full.completeness, MatchCompleteness::kComplete);
-  service.Stop();
-}
 
 TEST_F(ResilienceTest, HealthSnapshotReportsQueueBreakerAndColdTier) {
   const std::string dir = FreshSpoolDir("health");
   RetailDataset data = SmallRetail(3);
   DiskSessionStore store(dir);
+  Gate gate;
   ServiceOptions options;
   options.engine = FastEngine();
+  options.max_queue = 8;
   options.cold_store = &store;
+  options.test_dispatch_gate = gate.AsHook();
   MatchService service(options);
+
+  // One request parked in the gate, two queued behind it; the second
+  // queued one carries a deadline that runs out before the gate opens.
+  SubmitHandle parked = service.Submit(RequestOver(data, 0));
+  gate.AwaitEntered(1);
+  SubmitHandle queued = service.Submit(RequestOver(data, 60001));
+  SubmitHandle expiring = service.Submit(RequestOver(data, /*deadline_ms=*/1));
 
   HealthSnapshot health = service.Health();
   EXPECT_TRUE(health.accepting);
-  EXPECT_TRUE(health.ready);
-  EXPECT_EQ(health.max_queue, options.max_queue);
-  EXPECT_FALSE(health.brownout);
-  EXPECT_EQ(health.breaker_state, CircuitBreaker::State::kClosed);
+  EXPECT_EQ(health.queue_depth, 2u);
+  EXPECT_EQ(health.max_queue, 8u);
+  EXPECT_EQ(health.expired_in_queue, 0u);
   EXPECT_TRUE(health.cold_tier_attached);
   EXPECT_EQ(health.cold_tier_quarantined, 0u);
+  EXPECT_EQ(health.ToString(), "accepting queue=2/8 expired=0 cold_quarantined=0");
+  EXPECT_EQ(health.ToJson(),
+            "{\n"
+            "  \"accepting\": true,\n"
+            "  \"queue_depth\": 2,\n"
+            "  \"max_queue\": 8,\n"
+            "  \"expired_in_queue\": 0,\n"
+            "  \"cold_tier_attached\": true,\n"
+            "  \"cold_tier_quarantined\": 0\n"
+            "}");
 
-  // Both renderings carry the readiness verdict and the queue numbers.
-  EXPECT_NE(health.ToString().find("ready"), std::string::npos);
-  EXPECT_NE(health.ToJson().find("\"ready\": true"), std::string::npos);
-  EXPECT_NE(health.ToJson().find("\"breaker_state\": \"closed\""),
-            std::string::npos);
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  gate.Open();
+  EXPECT_TRUE(parked.future.get().ok());
+  EXPECT_TRUE(queued.future.get().ok());
+  EXPECT_EQ(expiring.future.get().status.code(),
+            StatusCode::kDeadlineExceeded);
 
   service.Stop();
-  EXPECT_FALSE(service.Health().accepting);
+  health = service.Health();
+  EXPECT_FALSE(health.accepting);
+  EXPECT_EQ(health.queue_depth, 0u);
+  EXPECT_EQ(health.expired_in_queue, 1u);
+  EXPECT_NE(health.ToString().find("unavailable queue=0/8 expired=1"),
+            std::string::npos);
+  EXPECT_NE(health.ToJson().find("\"accepting\": false"), std::string::npos);
+  EXPECT_NE(health.ToJson().find("\"expired_in_queue\": 1"),
+            std::string::npos);
   std::filesystem::remove_all(dir);
 }
 
@@ -516,7 +186,7 @@ TEST_F(ResilienceTest, ZeroCapacityBucketRejectsEveryRequestCleanly) {
 
 TEST_F(ResilienceTest, InFlightCapOfOneStillAdmitsDedupedWaiters) {
   RetailDataset data = SmallRetail(3);
-  ToggleGate gate;
+  Gate gate;
   ServiceOptions options;
   options.engine = FastEngine();
   options.tenant_quotas["capped"].max_in_flight = 1;
@@ -550,144 +220,6 @@ TEST_F(ResilienceTest, InFlightCapOfOneStillAdmitsDedupedWaiters) {
 }
 
 // ---------------------------------------------------------------------------
-// MatchClient: retries, budget, client breaker, hedging
-// ---------------------------------------------------------------------------
-
-TEST_F(ResilienceTest, ClientRetriesThroughTransientFaultsDeterministically) {
-  RetailDataset data = SmallRetail(3);
-  ServiceOptions options;
-  options.engine = FastEngine();
-  MatchService service(options);
-
-  // The first two dispatches fail; the third succeeds.
-  FaultInjector::ArmSpec spec;
-  spec.site = "service.dispatch";
-  spec.action = FaultInjector::Action::kFail;
-  spec.fire_limit = 2;
-  FaultInjector::Arm(spec);
-
-  std::vector<double> backoffs;
-  MatchClientOptions client_options;
-  client_options.retry.max_attempts = 4;
-  client_options.retry.initial_backoff_ms = 5.0;
-  client_options.retry.max_backoff_ms = 50.0;
-  client_options.seed = 7;
-  client_options.sleep_fn = [&backoffs](double ms) { backoffs.push_back(ms); };
-  MatchClient client(service, client_options);
-
-  MatchResponse response = client.Call(RequestOver(data, 0));
-  ASSERT_TRUE(response.ok()) << response.status.ToString();
-  EXPECT_EQ(client.retries(), 2u);
-  ASSERT_EQ(backoffs.size(), 2u);
-  for (double ms : backoffs) {
-    EXPECT_GE(ms, 5.0);
-    EXPECT_LE(ms, 50.0);
-  }
-  // Same seed, same schedule: the backoff sequence is replayable.
-  Rng replay(7);
-  RetryPolicy policy = client_options.retry;
-  double prev = 0.0;
-  for (double ms : backoffs) {
-    prev = policy.NextBackoffMs(prev, replay);
-    EXPECT_EQ(ms, prev);
-  }
-  service.Stop();
-}
-
-TEST_F(ResilienceTest, ClientBudgetBoundsRetriesUnderSustainedOutage) {
-  RetailDataset data = SmallRetail(3);
-  ServiceOptions options;
-  options.engine = FastEngine();
-  MatchService service(options);
-
-  // Every dispatch fails: a sustained outage.
-  FaultInjector::ArmSpec spec;
-  spec.site = "service.dispatch";
-  spec.action = FaultInjector::Action::kFail;
-  spec.fire_limit = 0;
-  spec.period = 1;
-  FaultInjector::Arm(spec);
-
-  MatchClientOptions client_options;
-  client_options.retry.max_attempts = 5;
-  client_options.retry_budget_capacity = 1.0;
-  client_options.sleep_fn = [](double) {};
-  MatchClient client(service, client_options);
-
-  MatchResponse response = client.Call(RequestOver(data, 0));
-  EXPECT_EQ(response.status.code(), StatusCode::kUnavailable);
-  // Capacity 1 allowed exactly one retry; the storm was cut off there.
-  EXPECT_EQ(client.retries(), 1u);
-  EXPECT_EQ(client.budget_exhausted(), 1u);
-  service.Stop();
-}
-
-TEST_F(ResilienceTest, ClientBreakerStopsSubmittingAfterConsecutiveFailures) {
-  RetailDataset data = SmallRetail(3);
-  ServiceOptions options;
-  options.engine = FastEngine();
-  MatchService service(options);
-
-  FaultInjector::ArmSpec spec;
-  spec.site = "service.dispatch";
-  spec.action = FaultInjector::Action::kFail;
-  spec.fire_limit = 0;
-  spec.period = 1;
-  FaultInjector::Arm(spec);
-
-  MatchClientOptions client_options;
-  client_options.retry.max_attempts = 2;
-  client_options.retry_budget_capacity = 0.0;  // unlimited; breaker decides
-  client_options.breaker.failure_threshold = 2;
-  client_options.breaker.open_ms = 60000;
-  client_options.sleep_fn = [](double) {};
-  MatchClient client(service, client_options);
-
-  EXPECT_EQ(client.Call(RequestOver(data, 60001)).status.code(),
-            StatusCode::kUnavailable);
-  const uint64_t admitted = service.metrics().Counter("service.admitted");
-  // The client breaker tripped on the first Call's two failures: the next
-  // Call is refused locally, without a submission.
-  EXPECT_EQ(client.Call(RequestOver(data, 60002)).status.code(),
-            StatusCode::kUnavailable);
-  EXPECT_GE(client.breaker_rejections(), 1u);
-  EXPECT_EQ(service.metrics().Counter("service.admitted"), admitted);
-  service.Stop();
-}
-
-TEST_F(ResilienceTest, HedgedRequestAttachesToInFlightTwin) {
-  RetailDataset data = SmallRetail(3);
-  ToggleGate gate;
-  ServiceOptions options;
-  options.engine = FastEngine();
-  options.test_dispatch_gate = gate.AsHook();
-  MatchService service(options);
-
-  MatchClientOptions client_options;
-  client_options.hedge_delay_ms = 5;
-  MatchClient client(service, client_options);
-
-  MatchResponse response;
-  std::thread caller(
-      [&] { response = client.Call(RequestOver(data, 60001)); });
-  gate.AwaitEntered(1);
-  // Give the hedge timer time to fire while the original is parked.
-  while (client.hedges() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  gate.Open();
-  caller.join();
-
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(client.hedges(), 1u);
-  // The hedge deduplicated against the original: one admission charged a
-  // run, the other attached.
-  EXPECT_EQ(service.metrics().Counter("service.deduplicated"), 1u);
-  EXPECT_EQ(service.metrics().Counter("service.completed"), 1u);
-  service.Stop();
-}
-
-// ---------------------------------------------------------------------------
 // Chaos smoke: sustained fault rate, zero hung requests, definitive codes
 // ---------------------------------------------------------------------------
 
@@ -695,10 +227,10 @@ TEST_F(ResilienceTest, TenPercentDispatchFaultsNeverHangAndStayDefinitive) {
   RetailDataset data = SmallRetail(3);
   ServiceOptions options;
   options.engine = FastEngine();
-  options.watchdog_interval_ms = 50;
   MatchService service(options);
 
-  // Deterministic 1-in-10 dispatch fault schedule, unlimited fires.
+  // Deterministic 1-in-10 dispatch fault schedule, unlimited fires: over 30
+  // sequential calls it fires at dispatches 0, 10 and 20.
   FaultInjector::ArmSpec spec;
   spec.site = "service.dispatch";
   spec.action = FaultInjector::Action::kFail;
@@ -706,28 +238,23 @@ TEST_F(ResilienceTest, TenPercentDispatchFaultsNeverHangAndStayDefinitive) {
   spec.period = 10;
   FaultInjector::Arm(spec);
 
-  MatchClientOptions client_options;
-  client_options.retry.max_attempts = 3;
-  client_options.retry.initial_backoff_ms = 1.0;
-  client_options.retry.max_backoff_ms = 5.0;
-  MatchClient client(service, client_options);
-
   const int kCalls = 30;
-  int ok = 0;
+  int ok = 0, unavailable = 0;
   for (int i = 0; i < kCalls; ++i) {
-    MatchResponse response = client.Call(RequestOver(data, 0));
-    // Every answer must be definitive: success or a classified failure.
+    MatchResponse response = service.Call(RequestOver(data, 0));
+    // Every answer is definitive: success or a classified failure.
     if (response.ok()) {
       ++ok;
     } else {
-      EXPECT_NE(response.status.code(), StatusCode::kOk);
+      EXPECT_EQ(response.status.code(), StatusCode::kUnavailable) << i;
       EXPECT_FALSE(response.status.message().empty());
+      EXPECT_EQ(i % 10, 0) << "fault fired off the period-10 schedule";
+      ++unavailable;
     }
   }
-  // Goodput: with retries over a 10% fault rate, effectively every call
-  // lands (acceptance asks >= 90% of fault-free, i.e. >= 27 of 30).
-  EXPECT_GE(ok, 27);
-  EXPECT_GE(service.metrics().Counter("service.dispatch_faults"), 3u);
+  EXPECT_EQ(unavailable, 3);
+  EXPECT_EQ(ok, 27);
+  EXPECT_EQ(service.metrics().Counter("service.dispatch_faults"), 3u);
   service.Stop();
 }
 

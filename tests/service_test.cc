@@ -272,6 +272,45 @@ TEST(MatchServiceTest, StopAnswersQueuedRequestsWithUnavailable) {
   EXPECT_EQ(late.status.code(), StatusCode::kUnavailable);
 }
 
+TEST(MatchServiceTest, ConcurrentStopsJoinOnceAndBothWaitForTheDispatcher) {
+  RetailDataset data = SmallRetail(3);
+  DispatchGate gate;
+  ServiceOptions options;
+  options.engine = FastEngine();
+  options.test_dispatch_gate = gate.AsHook();
+  MatchService service(options);
+
+  SubmitHandle running = service.Submit(RequestOver(data, 60001));
+  gate.AwaitEntered(1);
+  SubmitHandle queued = service.Submit(RequestOver(data, 60002));
+
+  std::atomic<int> returned{0};
+  std::thread stopper_a([&] {
+    service.Stop();
+    returned.fetch_add(1);
+  });
+  std::thread stopper_b([&] {
+    service.Stop();
+    returned.fetch_add(1);
+  });
+  // Admission is closed once a stopper is in; the sleep lets the other
+  // reach the join too.  Neither may return while the dispatcher is parked.
+  while (service.Health().accepting) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(returned.load(), 0);
+  gate.Open();
+  stopper_a.join();
+  stopper_b.join();
+  EXPECT_EQ(returned.load(), 2);
+
+  EXPECT_TRUE(running.future.get().ok());
+  MatchResponse drained = queued.future.get();
+  EXPECT_EQ(drained.status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(service.metrics().Counter("service.rejected_stopped"), 1u);
+}
+
 TEST(MatchServiceTest, ResponseExitCodesFollowSharedTable) {
   MatchResponse response;
   EXPECT_EQ(response.ExitCode(), 0);
