@@ -1,7 +1,7 @@
 // Conjunctive contextual conditions (Section 3.5): the target's
 // fiction_books table corresponds to `type = 'book' AND fiction = 1` in the
 // source — a 2-condition that single-stage ContextMatch cannot express.
-// ConjunctiveContextMatch finds it in the second stage by re-running view
+// MatchMode::kConjunctive finds it in the second stage by re-running view
 // inference on the views selected in the first stage, partitioning only on
 // attributes not already in the condition.
 //
@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "common/random.h"
-#include "core/context_match.h"
+#include "core/match_engine.h"
 #include "datagen/wordlists.h"
 
 int main() {
@@ -64,7 +64,9 @@ int main() {
   options.seed = 34;
 
   // ---- Stage 1 only: simple 1-conditions -------------------------------
-  ContextMatchResult single = ContextMatch(source, target, options);
+  ContextMatchResult single =
+      MatchEngine(options).Execute({.source = BorrowDatabase(source),
+                                    .target = BorrowDatabase(target)}).result;
   std::printf("-- single-stage selected views --\n");
   for (const View& v : single.selected_views) {
     std::printf("  %s\n", v.ToString().c_str());
@@ -72,7 +74,10 @@ int main() {
 
   // ---- Two stages: conjunctive 2-conditions ----------------------------
   ContextMatchResult staged =
-      ConjunctiveContextMatch(source, target, options, /*max_stages=*/2);
+      MatchEngine(options).Execute({.mode = MatchMode::kConjunctive,
+                                    .max_stages = 2,
+                                    .source = BorrowDatabase(source),
+                                    .target = BorrowDatabase(target)}).result;
   std::printf("\n-- two-stage selected views --\n");
   for (const View& v : staged.selected_views) {
     std::printf("  %s\n", v.ToString().c_str());

@@ -33,7 +33,9 @@ std::string RunRetailSrcClassEarly() {
   o.seed = 2;
   o.threads = 2;
   MatchEngine engine(o);
-  return FingerprintResult(engine.Match(data.source, data.target));
+  return FingerprintResult(
+      engine.Execute({.source = BorrowDatabase(data.source),
+                      .target = BorrowDatabase(data.target)}).result);
 }
 
 std::string RunRetailNaiveMultiTable() {
@@ -45,7 +47,9 @@ std::string RunRetailNaiveMultiTable() {
   o.seed = 4;
   o.threads = 1;
   MatchEngine engine(o);
-  return FingerprintResult(engine.Match(data.source, data.target));
+  return FingerprintResult(
+      engine.Execute({.source = BorrowDatabase(data.source),
+                      .target = BorrowDatabase(data.target)}).result);
 }
 
 std::string RunRetailTgtClass() {
@@ -56,7 +60,9 @@ std::string RunRetailTgtClass() {
   o.seed = 6;
   o.threads = 2;
   MatchEngine engine(o);
-  return FingerprintResult(engine.Match(data.source, data.target));
+  return FingerprintResult(
+      engine.Execute({.source = BorrowDatabase(data.source),
+                      .target = BorrowDatabase(data.target)}).result);
 }
 
 std::string RunGradesQualTableLate() {
@@ -71,7 +77,9 @@ std::string RunGradesQualTableLate() {
   o.seed = 8;
   o.threads = 2;
   MatchEngine engine(o);
-  return FingerprintResult(engine.Match(data.source, data.target));
+  return FingerprintResult(
+      engine.Execute({.source = BorrowDatabase(data.source),
+                      .target = BorrowDatabase(data.target)}).result);
 }
 
 std::string RunRetailConjunctiveTwoStage() {
@@ -84,7 +92,10 @@ std::string RunRetailConjunctiveTwoStage() {
   o.threads = 2;
   MatchEngine engine(o);
   return FingerprintResult(
-      engine.ConjunctiveMatch(data.source, data.target, /*max_stages=*/2));
+      engine.Execute({.mode = MatchMode::kConjunctive,
+                      .max_stages = 2,
+                      .source = BorrowDatabase(data.source),
+                      .target = BorrowDatabase(data.target)}).result);
 }
 
 /// Pins the degradation contract itself: a run cancelled at a fixed
@@ -105,7 +116,9 @@ std::string RunRetailDegradedPrefix() {
                       .token = &token,
                       .reason = CancelReason::kDeadline});
   MatchEngine engine(o);
-  ContextMatchResult result = engine.Match(data.source, data.target, &token);
+  ContextMatchResult result =
+      engine.Execute({.source = BorrowDatabase(data.source),
+                      .target = BorrowDatabase(data.target)}, &token).result;
   FaultInjector::DisarmAll();
   return "status: " + std::string(StatusCodeToString(result.status.code())) +
          "\ncompleteness: " +

@@ -1,19 +1,15 @@
-// The unified request/response surface of the matching engine and service.
+// The request/response surface of the matching engine and service.
 //
-// PRs 1-5 grew three parallel entrypoints (Match / ConjunctiveMatch /
-// TargetContextMatch), each with its own signature and result struct.  A
-// long-lived service — and the pluggable-backend ensemble direction behind
-// it — needs ONE stable shape to queue, deduplicate, rate-limit and answer:
+// ContextMatch (Fig. 5), the Section 3.5 conjunctive staging and the
+// Section 3 source/target role reversal are three modes of one algorithm,
+// so MatchEngine::Execute takes ONE request shape that a long-lived service
+// can also queue, deduplicate, rate-limit and answer:
 //
-//   MatchRequest request;
-//   request.mode = MatchMode::kConjunctive;
-//   request.max_stages = 2;
-//   request.source = BorrowDatabase(src);      // or a shared_ptr you own
-//   request.target = BorrowDatabase(tgt);
-//   MatchResponse response = engine.Execute(request);
-//
-// The legacy entrypoints survive as thin wrappers over Execute, bit
-// identical to their pre-unification behavior (determinism_test).
+//   MatchResponse response = engine.Execute({
+//       .mode = MatchMode::kConjunctive,
+//       .max_stages = 2,
+//       .source = BorrowDatabase(src),          // or a shared_ptr you own
+//       .target = BorrowDatabase(tgt)});
 //
 // Ownership: the request carries shared_ptr<const Database> so a queued
 // request outlives the caller's stack frame (the service holds admitted
@@ -43,8 +39,13 @@ enum class MatchMode {
   /// Section 3.5 iterative staging up to MatchRequest::max_stages
   /// conjunctive condition attributes; max_stages == 1 is plain kContext.
   kConjunctive,
-  /// Reverse-role run: conditions inferred on the *target* tables, matches
-  /// flipped back into source -> target orientation (core/target_context.h).
+  /// Reverse-role run (Section 3: "reverse the role of source and target
+  /// tables"): the target database is matched as if it were the source, so
+  /// conditions are inferred on the *target* tables (TgtClassInfer's
+  /// "target" classifiers train on the source), and the matches are flipped
+  /// back into source -> target orientation with Match::condition_on_target
+  /// set.  The mirror of Example 1.1: separate source tables map into the
+  /// slices of one combined target table selected by its discriminator.
   kTargetContext,
 };
 
@@ -58,22 +59,25 @@ inline std::shared_ptr<const Database> BorrowDatabase(const Database& db) {
                                          &db);
 }
 
-/// One unit of matching work, self-contained enough to queue.
+/// One unit of matching work, self-contained enough to queue.  Every field
+/// has a default member initializer (the `{}` on class-type fields keeps
+/// -Wmissing-field-initializers quiet), so a designated initializer names
+/// only the fields it sets.
 struct MatchRequest {
   MatchMode mode = MatchMode::kContext;
   /// Conjunctive stages (kConjunctive only; must be >= 1).
   size_t max_stages = 1;
   /// Accounting key for the service's quotas and per-tenant metrics; the
   /// engine itself ignores it.  Empty = the default tenant.
-  std::string tenant;
+  std::string tenant{};
   /// Wall-clock budget for this request in milliseconds; 0 = unbounded.
   /// In the service the budget covers queue time too: a request that
   /// expires while queued is answered without running.  Overrides nothing —
   /// it combines with ContextMatchOptions::deadline_ms, whichever fires
   /// first.
   int64_t deadline_ms = 0;
-  std::shared_ptr<const Database> source;
-  std::shared_ptr<const Database> target;
+  std::shared_ptr<const Database> source{};
+  std::shared_ptr<const Database> target{};
 };
 
 /// The single response shape for every mode and every failure class.

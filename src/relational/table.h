@@ -2,10 +2,9 @@
 // throughout the matching algorithms.
 //
 // Storage is columnar: one typed Column segment per attribute, with
-// dictionary-encoded strings (see relational/column.h).  The legacy
-// row-oriented accessors (rows(), row(), at()) are preserved on top of the
-// columnar store via a lazily built row cache, so existing call sites keep
-// working unchanged while hot paths scan columns directly.
+// dictionary-encoded strings (see relational/column.h).  There is no row
+// store: row(r) and ValueAt box cells out of the column segments on each
+// call, and hot paths scan the columns directly.
 //
 // Bulk loaders build columns, not rows: CSV ingest (relational/csv.h)
 // encodes each column in row order on its own task and hands the finished
@@ -15,8 +14,7 @@
 #define CSM_RELATIONAL_TABLE_H_
 
 #include <map>
-#include <memory>
-#include <mutex>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -36,8 +34,9 @@ class Table {
   Table() = default;
   explicit Table(TableSchema schema);
 
-  Table(const Table& other);
-  Table& operator=(const Table& other);
+  Table(const Table& other) = default;
+  Table& operator=(const Table& other) = default;
+  /// Moves leave `other` empty (num_rows() == 0), not just unspecified.
   Table(Table&& other) noexcept;
   Table& operator=(Table&& other) noexcept;
 
@@ -59,21 +58,14 @@ class Table {
   /// tables in chunk order gives the codes one serial build would.
   void AppendRowsFrom(const Table& other);
 
-  /// Legacy row-oriented accessors, served from a lazily built (and
-  /// mutex-guarded, so concurrent const readers are safe) row cache.
-  /// References stay valid until the next AddRow / AppendRowsFrom.
-  const std::vector<Row>& rows() const;
-  const Row& row(size_t index) const;
+  /// Row `index` boxed by value from the column segments.
+  Row row(size_t index) const;
 
-  /// The cell at (row, attribute index) — row-cache-backed reference.
-  const Value& at(size_t row_index, size_t col_index) const;
+  /// The cell at (row, attribute index), boxed by value from its column.
+  Value ValueAt(size_t row_index, size_t col_index) const;
 
   /// The cell at (row, attribute name); CHECK-fails for unknown names.
-  const Value& at(size_t row_index, std::string_view attribute) const;
-
-  /// The cell at (row, attribute index) boxed by value straight from the
-  /// column segment — no row cache involved.
-  Value ValueAt(size_t row_index, size_t col_index) const;
+  Value ValueAt(size_t row_index, std::string_view attribute) const;
 
   /// Column segment of attribute `col_index`.
   const Column& column(size_t col_index) const;
@@ -109,18 +101,9 @@ class Table {
   std::string ToString(size_t max_rows = 20) const;
 
  private:
-  void InvalidateRowCache();
-  const std::vector<Row>& CachedRows() const;
-
   TableSchema schema_;
   std::vector<Column> columns_;  // one per schema attribute
   size_t num_rows_ = 0;
-
-  // Lazily built legacy row view.  Guarded by row_cache_mu_ so concurrent
-  // const readers (e.g. pool workers fingerprinting samples) are race-free;
-  // never copied with the table.
-  mutable std::mutex row_cache_mu_;
-  mutable std::unique_ptr<std::vector<Row>> row_cache_;
 };
 
 /// A named collection of table instances conforming to a Schema.

@@ -66,7 +66,8 @@ class RobustnessTest : public ::testing::Test {
   static double RunSeconds(MatchEngine& engine, const Database& src,
                            const Database& tgt, ContextMatchResult* out) {
     const auto start = std::chrono::steady_clock::now();
-    *out = engine.Match(src, tgt);
+    *out = engine.Execute({.source = BorrowDatabase(src),
+                           .target = BorrowDatabase(tgt)}).result;
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start)
         .count();
@@ -76,7 +77,9 @@ class RobustnessTest : public ::testing::Test {
 TEST_F(RobustnessTest, CleanRunIsComplete) {
   RetailDataset data = Data();
   MatchEngine engine(NaiveOptions(2));
-  ContextMatchResult r = engine.Match(data.source, data.target);
+  ContextMatchResult r =
+      engine.Execute({.source = BorrowDatabase(data.source),
+                      .target = BorrowDatabase(data.target)}).result;
   EXPECT_TRUE(r.status.ok());
   EXPECT_EQ(r.completeness, MatchCompleteness::kComplete);
   EXPECT_FALSE(r.pool.base_matches.empty());
@@ -131,7 +134,9 @@ TEST_F(RobustnessTest, InjectedDeadlineDuringScoringKeepsScoredPrefix) {
                       .reason = CancelReason::kDeadline});
 
   MatchEngine engine(NaiveOptions(2));
-  ContextMatchResult r = engine.Match(data.source, data.target, &token);
+  ContextMatchResult r =
+      engine.Execute({.source = BorrowDatabase(data.source),
+                      .target = BorrowDatabase(data.target)}, &token).result;
 
   EXPECT_EQ(FaultInjector::FireCount("scoring.candidate"), 1u);
   EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded) << r.status;
@@ -153,7 +158,9 @@ TEST_F(RobustnessTest, CancelDuringInferenceDiscardsTheStage) {
   RetailDataset data = Data();
 
   MatchEngine clean_engine(Options(2));
-  ContextMatchResult clean = clean_engine.Match(data.source, data.target);
+  ContextMatchResult clean =
+      clean_engine.Execute({.source = BorrowDatabase(data.source),
+                            .target = BorrowDatabase(data.target)}).result;
   ASSERT_TRUE(clean.status.ok());
 
   CancellationToken token;
@@ -164,7 +171,9 @@ TEST_F(RobustnessTest, CancelDuringInferenceDiscardsTheStage) {
                       .reason = CancelReason::kCaller});
 
   MatchEngine engine(Options(2));
-  ContextMatchResult r = engine.Match(data.source, data.target, &token);
+  ContextMatchResult r =
+      engine.Execute({.source = BorrowDatabase(data.source),
+                      .target = BorrowDatabase(data.target)}, &token).result;
 
   EXPECT_EQ(r.status.code(), StatusCode::kCancelled) << r.status;
   EXPECT_NE(r.status.message().find("inference"), std::string::npos);
@@ -186,7 +195,9 @@ TEST_F(RobustnessTest, InjectedTaskFailureDegradesWithInternalStatus) {
                       .token = &token});
 
   MatchEngine engine(NaiveOptions(2));
-  ContextMatchResult r = engine.Match(data.source, data.target, &token);
+  ContextMatchResult r =
+      engine.Execute({.source = BorrowDatabase(data.source),
+                      .target = BorrowDatabase(data.target)}, &token).result;
 
   // The run completes (no crash, no hang) but reports the fault.
   EXPECT_EQ(r.status.code(), StatusCode::kInternal) << r.status;
@@ -207,8 +218,11 @@ TEST_F(RobustnessTest, EngineCancelFromAnotherThread) {
 
   MatchEngine engine(Options(2));
   ContextMatchResult r;
-  std::thread runner(
-      [&] { r = engine.Match(data.source, data.target); });
+  std::thread runner([&] {
+    r = engine.Execute({.source = BorrowDatabase(data.source),
+                        .target = BorrowDatabase(data.target)})
+            .result;
+  });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   engine.Cancel();
   runner.join();
@@ -220,7 +234,9 @@ TEST_F(RobustnessTest, EngineCancelFromAnotherThread) {
   // stays usable: the next (un-slowed) call completes normally.
   engine.Cancel();
   FaultInjector::DisarmAll();
-  ContextMatchResult again = engine.Match(data.source, data.target);
+  ContextMatchResult again =
+      engine.Execute({.source = BorrowDatabase(data.source),
+                      .target = BorrowDatabase(data.target)}).result;
   EXPECT_TRUE(again.status.ok());
   EXPECT_EQ(again.completeness, MatchCompleteness::kComplete);
 }
@@ -248,7 +264,9 @@ TEST_F(RobustnessTest, Phase1CutIsAWholeChunkTablePrefix) {
                         .reason = CancelReason::kDeadline});
 
     MatchEngine engine(Options(threads));
-    ContextMatchResult r = engine.Match(source, target, &token);
+    ContextMatchResult r =
+        engine.Execute({.source = BorrowDatabase(source),
+                        .target = BorrowDatabase(target)}, &token).result;
 
     EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded)
         << "threads=" << threads;
@@ -261,7 +279,9 @@ TEST_F(RobustnessTest, Phase1CutIsAWholeChunkTablePrefix) {
 
     // The partial session prefix must never be cached: a fresh healthy
     // call on the same data rebuilds and sees all 10 tables.
-    ContextMatchResult healthy = engine.Match(source, target);
+    ContextMatchResult healthy =
+        engine.Execute({.source = BorrowDatabase(source),
+                        .target = BorrowDatabase(target)}).result;
     EXPECT_TRUE(healthy.status.ok()) << healthy.status;
     EXPECT_EQ(healthy.phases.counters.at("source_tables"), 10u);
     EXPECT_EQ(engine.session_cache_hits(), 0u);
@@ -288,7 +308,9 @@ TEST_F(RobustnessTest, ScoringCutIsAWholeChunkCandidatePrefix) {
   };
 
   MatchEngine clean_engine(opts(2));
-  ContextMatchResult clean = clean_engine.Match(data.source, data.target);
+  ContextMatchResult clean =
+      clean_engine.Execute({.source = BorrowDatabase(data.source),
+                            .target = BorrowDatabase(data.target)}).result;
   ASSERT_TRUE(clean.status.ok());
   ASSERT_GT(clean.pool.candidate_views.size(), 16u);
 
@@ -300,7 +322,9 @@ TEST_F(RobustnessTest, ScoringCutIsAWholeChunkCandidatePrefix) {
                         .token = &token,
                         .reason = CancelReason::kDeadline});
     MatchEngine engine(opts(threads));
-    ContextMatchResult r = engine.Match(data.source, data.target, &token);
+    ContextMatchResult r =
+        engine.Execute({.source = BorrowDatabase(data.source),
+                        .target = BorrowDatabase(data.target)}, &token).result;
     FaultInjector::DisarmAll();
 
     EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded)
@@ -318,14 +342,18 @@ TEST_F(RobustnessTest, SleepInjectionNeverChangesResults) {
   // perturbs timing only; the output stays bit-identical.
   RetailDataset data = Data();
   MatchEngine clean_engine(Options(2));
-  ContextMatchResult clean = clean_engine.Match(data.source, data.target);
+  ContextMatchResult clean =
+      clean_engine.Execute({.source = BorrowDatabase(data.source),
+                            .target = BorrowDatabase(data.target)}).result;
 
   FaultInjector::Arm({.site = "pool.task",
                       .action = FaultInjector::Action::kSleep,
                       .sleep_ms = 1,
                       .fire_limit = 16});
   MatchEngine slow_engine(Options(2));
-  ContextMatchResult slow = slow_engine.Match(data.source, data.target);
+  ContextMatchResult slow =
+      slow_engine.Execute({.source = BorrowDatabase(data.source),
+                           .target = BorrowDatabase(data.target)}).result;
 
   EXPECT_TRUE(slow.status.ok());
   ASSERT_EQ(slow.matches.size(), clean.matches.size());
