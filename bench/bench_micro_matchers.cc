@@ -6,6 +6,7 @@
 
 #include "common/random.h"
 #include "datagen/retail_gen.h"
+#include "match/attribute_codes.h"
 #include "match/matchers.h"
 #include "match/session.h"
 
@@ -77,17 +78,24 @@ void BM_ScoreRestricted(benchmark::State& state) {
   const RetailDataset& data = SharedData();
   const Table& inv = data.source.GetTable("inventory");
   TableMatchSession session(inv, data.target, DefaultMatcherSuite());
-  // Books-only title bag.
-  std::vector<Value> restricted;
+  // Books-only title rows, profiled from the column's codes (built once per
+  // run, as MatchEngine does); each iteration builds the restricted sample.
+  PosList restricted;
   for (size_t r = 0; r < inv.num_rows(); ++r) {
     if (inv.ValueAt(r, "ItemType") == data.book_labels[0]) {
-      restricted.push_back(inv.ValueAt(r, "Title"));
+      restricted.push_back(static_cast<RowId>(r));
     }
   }
+  const std::shared_ptr<const AttributeCodes> codes = AttributeCodes::Build(
+      inv.column(inv.schema().AttributeIndex("Title")));
   AttributeRef target{"Book", "BookTitle"};
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        session.ScoreRestricted("Title", restricted, target).confidence);
+        session
+            .ScoreRestrictedSample(
+                session.MakeRestrictedSample("Title", codes, restricted),
+                target)
+            .confidence);
   }
 }
 BENCHMARK(BM_ScoreRestricted);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <memory>
 #include <limits>
 #include <map>
 #include <set>
@@ -13,6 +15,8 @@
 #include "check/fingerprint.h"
 #include "check/generators.h"
 #include "core/match_engine.h"
+#include "match/attribute_codes.h"
+#include "match/matchers.h"
 #include "ml/naive_bayes.h"
 #include "relational/csv.h"
 #include "relational/table_view.h"
@@ -701,6 +705,173 @@ Status FuzzTokenKernelEquivalence(const FuzzOptions& options) {
                           Status::Internal("NB log score diverged on \"" +
                                            text + "\" label " + label));
           }
+        }
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+namespace {
+
+/// A real column salted with the encodings RandomHostileTable never draws:
+/// signed zeros, NaNs of both signs, a huge magnitude, duplicates, NULLs.
+Column SaltedRealColumn(size_t rows, Rng& rng) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double pool[] = {0.0, -0.0, nan, -nan, 1.5, -2.25, 1e300, 0.125};
+  Column column(ValueType::kReal);
+  for (size_t r = 0; r < rows; ++r) {
+    if (rng.NextBounded(5) == 0) {
+      column.AppendNull();
+    } else {
+      column.Append(Value::Real(pool[rng.NextBounded(std::size(pool))]));
+    }
+  }
+  return column;
+}
+
+/// A string column gathered from a parent with ~10x as many distinct
+/// values, so it shares a dictionary it mostly does not reference.
+Column GatheredStringColumn(size_t rows, Rng& rng) {
+  Column parent(ValueType::kString);
+  const size_t parent_rows = 10 * rows + 10;
+  for (size_t r = 0; r < parent_rows; ++r) {
+    if (rng.NextBounded(10) == 0) {
+      parent.AppendNull();
+    } else {
+      parent.Append(Value::String(RandomHostileCell(rng) + " " +
+                                  std::to_string(r)));
+    }
+  }
+  PosList picks;
+  for (size_t r = 0; r < rows; ++r) {
+    picks.push_back(static_cast<RowId>(rng.NextBounded(parent_rows)));
+  }
+  return parent.Gather(picks);
+}
+
+/// Where a coded sample first differs from the boxed bag of the same rows
+/// — statistics, profile entries, then every matcher's applicability and
+/// score against every target — or "" when they agree bit for bit.
+std::string CodedSampleDivergence(
+    const AttributeSample& coded, const AttributeSample& boxed,
+    const std::vector<std::unique_ptr<AttributeMatcher>>& suite,
+    const std::vector<AttributeSample>& targets) {
+  if (coded.size() != boxed.size()) return "size";
+  if (coded.NonNullCount() != boxed.NonNullCount()) return "NonNullCount";
+  if (coded.MostlyNumeric() != boxed.MostlyNumeric()) return "MostlyNumeric";
+  const DescriptiveStats& cs = coded.NumericStats();
+  const DescriptiveStats& bs = boxed.NumericStats();
+  if (cs.count() != bs.count() || !BitEqual(cs.Mean(), bs.Mean()) ||
+      !BitEqual(cs.PopulationVariance(), bs.PopulationVariance()) ||
+      !BitEqual(cs.Min(), bs.Min()) || !BitEqual(cs.Max(), bs.Max())) {
+    return "NumericStats";
+  }
+  const GramProfile& cg = coded.QGramProfile();
+  const GramProfile& bg = boxed.QGramProfile();
+  if (cg.num_distinct() != bg.num_distinct() ||
+      !BitEqual(cg.total(), bg.total())) {
+    return "q-gram profile size";
+  }
+  for (size_t e = 0; e < cg.num_distinct(); ++e) {
+    if (cg.entries()[e].id != bg.entries()[e].id ||
+        !BitEqual(cg.entries()[e].count, bg.entries()[e].count)) {
+      return "q-gram entry " + std::to_string(e);
+    }
+  }
+  const WordProfile& cw = coded.WordProfile();
+  const WordProfile& bw = boxed.WordProfile();
+  if (cw.num_distinct() != bw.num_distinct() ||
+      !BitEqual(cw.total(), bw.total())) {
+    return "word profile size";
+  }
+  for (size_t e = 0; e < cw.num_distinct(); ++e) {
+    if (cw.entries()[e].token != bw.entries()[e].token ||
+        !BitEqual(cw.entries()[e].count, bw.entries()[e].count)) {
+      return "word entry " + std::to_string(e);
+    }
+  }
+  for (const auto& matcher : suite) {
+    for (const AttributeSample& target : targets) {
+      const bool applicable = matcher->Applicable(coded, target);
+      if (applicable != matcher->Applicable(boxed, target)) {
+        return matcher->Name() + " applicability vs " +
+               target.ref().ToString();
+      }
+      if (applicable && !BitEqual(matcher->Score(coded, target),
+                                  matcher->Score(boxed, target))) {
+        return matcher->Name() + " score vs " + target.ref().ToString();
+      }
+    }
+  }
+  return "";
+}
+
+}  // namespace
+
+Status FuzzCodedSampleEquivalence(const FuzzOptions& options) {
+  for (size_t i = 0; i < options.iterations; ++i) {
+    Rng rng(IterationSeed(options.seed, i));
+    HostileTableOptions table_options;
+    table_options.min_rows = 1;
+    table_options.max_rows = 24;
+    const Table table = RandomHostileTable("fuzz", rng, table_options);
+    const size_t rows = table.num_rows();
+
+    // Targets: the table's own attributes, with the TF-IDF corpus prepared
+    // over them as a session would.
+    std::vector<AttributeSample> targets;
+    for (const auto& attr : table.schema().attributes()) {
+      targets.push_back(AttributeSample::FromTable(table, attr.name));
+    }
+    std::vector<const AttributeSample*> target_ptrs;
+    for (const AttributeSample& t : targets) target_ptrs.push_back(&t);
+    std::vector<std::unique_ptr<AttributeMatcher>> suite =
+        DefaultMatcherSuite();
+    for (auto& matcher : suite) matcher->Prepare(target_ptrs);
+
+    // Sources: every generated column plus the shapes it never produces.
+    std::vector<Column> sources;
+    for (size_t c = 0; c < table.schema().num_attributes(); ++c) {
+      sources.push_back(table.column(c));
+    }
+    sources.push_back(SaltedRealColumn(rows, rng));
+    Column all_null(ValueType::kNull);
+    for (size_t r = 0; r < rows; ++r) all_null.AppendNull();
+    sources.push_back(std::move(all_null));
+    sources.push_back(GatheredStringColumn(rows, rng));
+
+    for (size_t c = 0; c < sources.size(); ++c) {
+      const Column& column = sources[c];
+      const std::shared_ptr<const AttributeCodes> codes =
+          AttributeCodes::Build(column);
+      // Empty, full, a sorted subset and a draw with repeats.
+      std::vector<PosList> position_lists(4);
+      for (size_t r = 0; r < rows; ++r) {
+        position_lists[1].push_back(static_cast<RowId>(r));
+        if (rng.NextBounded(2) == 0) {
+          position_lists[2].push_back(static_cast<RowId>(r));
+        }
+      }
+      const size_t draws = rng.NextBounded(2 * rows + 1);
+      for (size_t d = 0; d < draws; ++d) {
+        position_lists[3].push_back(static_cast<RowId>(rng.NextBounded(rows)));
+      }
+      const AttributeRef ref{"fuzz_source", "c" + std::to_string(c)};
+      for (size_t l = 0; l < position_lists.size(); ++l) {
+        std::vector<Value> bag;
+        column.BoxGatheredTo(position_lists[l], &bag);
+        const AttributeSample boxed(ref, column.type(), std::move(bag));
+        const AttributeSample coded = AttributeSample::FromPositions(
+            ref, column.type(), codes, position_lists[l]);
+        const std::string divergence =
+            CodedSampleDivergence(coded, boxed, suite, targets);
+        if (!divergence.empty()) {
+          return Replay(options, i,
+                        Status::Internal("coded sample diverged on column " +
+                                         std::to_string(c) + " positions " +
+                                         std::to_string(l) + ": " +
+                                         divergence));
         }
       }
     }

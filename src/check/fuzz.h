@@ -41,6 +41,15 @@
 //                            Naive Bayes classifier (boxed and coded paths)
 //                            against map-of-strings reference
 //                            implementations — every score bit-identical
+//   * FuzzCodedSampleEquivalence
+//                            random hostile columns (plus signed-zero/NaN
+//                            reals, all-NULL and gathered string columns
+//                            sharing a 10x larger dictionary) at empty,
+//                            full, subset and repeated position lists:
+//                            AttributeSample::FromPositions against the
+//                            boxed bag of the same rows on every statistic,
+//                            profile entry and default-suite matcher score,
+//                            doubles memcmp-equal
 
 #ifndef CSM_CHECK_FUZZ_H_
 #define CSM_CHECK_FUZZ_H_
@@ -68,6 +77,7 @@ Status FuzzPipeline(const FuzzOptions& options);
 Status FuzzDifferential(const FuzzOptions& options);
 Status FuzzRowColumnarEquivalence(const FuzzOptions& options);
 Status FuzzTokenKernelEquivalence(const FuzzOptions& options);
+Status FuzzCodedSampleEquivalence(const FuzzOptions& options);
 
 }  // namespace csm::check
 

@@ -11,6 +11,7 @@
 #include "common/logging.h"
 #include "exec/parallel.h"
 #include "exec/task_rng.h"
+#include "match/attribute_codes.h"
 #include "match/matchers.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -27,23 +28,26 @@ double SecondsSince(Clock::time_point start) {
 }
 
 /// Per-source-table state for one pipeline run: views into the engine's
-/// session cache.  Read-only once built, so it can be shared by concurrent
-/// scoring tasks.
+/// session cache, plus the run's coded columns.  Read-only while candidates
+/// are scored, so it can be shared by concurrent scoring tasks.
 struct SourceState {
   const Table* sample = nullptr;
   const TableMatchSession* session = nullptr;
   const MatchList* accepted = nullptr;  // standard matches from this table
+  /// The source attributes of `accepted`, each tokenized once per run
+  /// (AttributeCodes) before the first scoring phase that scores a view of
+  /// this table.  Kept per run, not in the session cache: content-equal
+  /// tables may encode their dictionaries differently.
+  std::map<std::string, std::shared_ptr<const AttributeCodes>> codes;
 };
 
-/// Values of `attribute` at the given row positions of `sample`, gathered
-/// straight from the column segment (no row materialization).
-std::vector<Value> BagAtPositions(const Table& sample, const PosList& rows,
-                                  std::string_view attribute) {
-  const Column& col = sample.column(sample.schema().AttributeIndex(attribute));
-  std::vector<Value> bag;
-  bag.reserve(rows.size());
-  for (RowId r : rows) bag.push_back(col.GetValue(r));
-  return bag;
+/// Index of the first state whose table is `table`, or states.size().
+size_t StateIndexFor(const std::vector<SourceState>& states,
+                     const std::string& table) {
+  for (size_t i = 0; i < states.size(); ++i) {
+    if (states[i].sample->name() == table) return i;
+  }
+  return states.size();
 }
 
 /// Scores of one candidate view, produced on a worker and merged into the
@@ -106,13 +110,12 @@ ScoredFragment ScoreCandidate(const SourceState& state, const View& candidate,
 
   for (const Match& base : *state.accepted) {
     const std::string& attr = base.source.attribute;
+    const std::shared_ptr<const AttributeCodes>& codes = state.codes.at(attr);
     auto it = samples.find(attr);
     if (it == samples.end()) {
       it = samples
                .emplace(attr, state.session->MakeRestrictedSample(
-                                  attr,
-                                  BagAtPositions(*state.sample, view_rows,
-                                                 attr)))
+                                  attr, codes, view_rows))
                .first;
     }
     MatchScore ms =
@@ -125,8 +128,8 @@ ScoredFragment ScoreCandidate(const SourceState& state, const View& candidate,
         std::vector<AttributeSample> attr_samples;
         attr_samples.reserve(placebo_draws.size());
         for (const PosList& placebo_rows : placebo_draws) {
-          attr_samples.push_back(state.session->MakeRestrictedSample(
-              attr, BagAtPositions(*state.sample, placebo_rows, attr)));
+          attr_samples.push_back(
+              state.session->MakeRestrictedSample(attr, codes, placebo_rows));
         }
         pit = placebo_samples.emplace(attr, std::move(attr_samples)).first;
       }
@@ -606,6 +609,39 @@ ContextMatchResult MatchEngine::RunPipeline(const Database& source,
       {
         obs::ScopedSpan phase(tracer, "scoring");
         auto start = Clock::now();
+        {
+          // Tokenize each (source table, accepted-match attribute) a view
+          // of this stage scores, once per run: every view and placebo
+          // draw then profiles its rows by counting the shared codes.
+          obs::ScopedSpan encode(tracer, "scoring.encode", phase.id());
+          std::set<std::pair<size_t, std::string>> missing;
+          for (const CandidateView& candidate : stage_candidates) {
+            const size_t s =
+                StateIndexFor(states, candidate.view.base_table());
+            if (s == states.size()) continue;
+            for (const Match& m : *states[s].accepted) {
+              if (states[s].codes.count(m.source.attribute) == 0) {
+                missing.emplace(s, m.source.attribute);
+              }
+            }
+          }
+          const std::vector<std::pair<size_t, std::string>> pending(
+              missing.begin(), missing.end());
+          std::vector<std::shared_ptr<const AttributeCodes>> built =
+              exec::ParallelMap(pool, pending.size(), [&](size_t k) {
+                const Table& table = *states[pending[k].first].sample;
+                return AttributeCodes::Build(table.column(
+                    table.schema().AttributeIndex(pending[k].second)));
+              });
+          size_t coded_values = 0;
+          for (size_t k = 0; k < pending.size(); ++k) {
+            coded_values += built[k]->num_values();
+            states[pending[k].first].codes.emplace(pending[k].second,
+                                                   std::move(built[k]));
+          }
+          registry.AddCounter("scoring.coded_attributes", pending.size());
+          registry.AddCounter("scoring.coded_values", coded_values);
+        }
         // All candidates score concurrently: candidate i gets its own RNG
         // stream split off one sequential draw, and the fragments are
         // merged in candidate order, so the pool is byte-identical to a
@@ -632,13 +668,12 @@ ContextMatchResult MatchEngine::RunPipeline(const Database& source,
               obs::ScopedSpan span(tracer, span_name);
               const auto view_start = Clock::now();
               ScoredFragment fragment;
-              for (const SourceState& state : states) {
-                if (state.sample->name() != view.base_table()) continue;
+              const size_t s = StateIndexFor(states, view.base_table());
+              if (s < states.size()) {
                 Rng task_rng = exec::TaskRng(scoring_seed, i);
-                fragment = ScoreCandidate(state, view,
+                fragment = ScoreCandidate(states[s], view,
                                           options_.placebo_correction,
                                           task_rng);
-                break;
               }
               registry.Observe("scoring.view_seconds",
                                SecondsSince(view_start));

@@ -1,31 +1,43 @@
 #include "match/matcher.h"
 
-#include <cstring>
+#include <numeric>
 #include <unordered_map>
 
-#include "text/tokenizer.h"
+#include "check/invariants.h"
 
 namespace csm {
 
 AttributeSample AttributeSample::FromTable(const Table& instance,
                                            std::string_view attribute) {
-  size_t col = instance.schema().AttributeIndex(attribute);
+  const size_t col = instance.schema().AttributeIndex(attribute);
+  PosList all_rows(instance.num_rows());
+  std::iota(all_rows.begin(), all_rows.end(), RowId{0});
+  return FromPositions(AttributeRef{instance.name(), std::string(attribute)},
+                       instance.schema().attribute(col).type,
+                       AttributeCodes::Build(instance.column(col)),
+                       std::move(all_rows));
+}
+
+AttributeSample AttributeSample::FromPositions(
+    AttributeRef ref, ValueType type,
+    std::shared_ptr<const AttributeCodes> codes, PosList positions) {
+  if constexpr (check::kInvariantsEnabled) {
+    for (RowId p : positions) CSM_INVARIANT_LT(p, codes->num_rows());
+  }
   AttributeSample sample;
-  sample.ref_ = AttributeRef{instance.name(), std::string(attribute)};
-  sample.type_ = instance.schema().attribute(col).type;
-  sample.column_ = instance.column(col);
-  sample.size_ = sample.column_->size();
+  sample.ref_ = std::move(ref);
+  sample.type_ = type;
+  sample.codes_ = std::move(codes);
+  sample.positions_ = std::move(positions);
+  sample.size_ = sample.positions_.size();
   return sample;
 }
 
 const std::vector<Value>& AttributeSample::values() const {
-  if (!column_.has_value()) return values_;
+  if (codes_ == nullptr) return values_;
   std::call_once(caches_->values_once, [this] {
     std::vector<Value> boxed;
-    boxed.reserve(column_->size());
-    for (size_t r = 0; r < column_->size(); ++r) {
-      boxed.push_back(column_->GetValue(r));
-    }
+    codes_->column().BoxGatheredTo(positions_, &boxed);
     caches_->boxed_values = std::move(boxed);
   });
   return *caches_->boxed_values;
@@ -34,22 +46,8 @@ const std::vector<Value>& AttributeSample::values() const {
 size_t AttributeSample::NonNullCount() const {
   std::call_once(caches_->non_null_once, [this] {
     size_t n = 0;
-    if (column_.has_value()) {
-      switch (column_->type()) {
-        case ValueType::kNull:
-          break;
-        case ValueType::kInt:
-        case ValueType::kReal:
-          for (uint8_t is_null : column_->null_mask()) {
-            if (is_null == 0) ++n;
-          }
-          break;
-        case ValueType::kString:
-          for (uint32_t code : column_->codes()) {
-            if (code != kNullCode) ++n;
-          }
-          break;
-      }
+    if (codes_ != nullptr) {
+      n = codes_->NonNullCount(positions_);
     } else {
       for (const Value& v : values_) {
         if (!v.is_null()) ++n;
@@ -64,63 +62,15 @@ const std::vector<std::pair<std::string, double>>&
 AttributeSample::DistinctRenders() const {
   std::call_once(caches_->distinct_once, [this] {
     std::vector<std::pair<std::string, double>> out;
-    if (column_.has_value()) {
-      switch (column_->type()) {
-        case ValueType::kNull:
-          break;
-        case ValueType::kInt: {
-          const std::vector<int64_t>& ints = column_->ints();
-          const std::vector<uint8_t>& nulls = column_->null_mask();
-          std::unordered_map<int64_t, size_t> index;
-          for (size_t r = 0; r < column_->size(); ++r) {
-            if (nulls[r]) continue;
-            auto [it, inserted] = index.try_emplace(ints[r], out.size());
-            if (inserted) {
-              out.emplace_back(Value::Int(ints[r]).ToString(), 1.0);
-            } else {
-              out[it->second].second += 1.0;
-            }
-          }
-          break;
-        }
-        case ValueType::kReal: {
-          // Group by bit pattern: identical bits render identically, and
-          // every distinct NaN/zero encoding just forms its own group.
-          const std::vector<double>& reals = column_->reals();
-          const std::vector<uint8_t>& nulls = column_->null_mask();
-          std::unordered_map<uint64_t, size_t> index;
-          for (size_t r = 0; r < column_->size(); ++r) {
-            if (nulls[r]) continue;
-            uint64_t bits;
-            std::memcpy(&bits, &reals[r], sizeof(bits));
-            auto [it, inserted] = index.try_emplace(bits, out.size());
-            if (inserted) {
-              out.emplace_back(Value::Real(reals[r]).ToString(), 1.0);
-            } else {
-              out[it->second].second += 1.0;
-            }
-          }
-          break;
-        }
-        case ValueType::kString: {
-          const StringDictionary& dict = column_->dictionary();
-          for (const auto& [code, count] : column_->CodeCounts()) {
-            out.emplace_back(dict.value(code), static_cast<double>(count));
-          }
-          break;
-        }
-      }
-    } else {
-      std::unordered_map<std::string, size_t> index;
-      for (const Value& v : values_) {
-        if (v.is_null()) continue;
-        std::string render = v.ToString();
-        auto [it, inserted] = index.try_emplace(std::move(render), out.size());
-        if (inserted) {
-          out.emplace_back(it->first, 1.0);
-        } else {
-          out[it->second].second += 1.0;
-        }
+    std::unordered_map<std::string, size_t> index;
+    for (const Value& v : values_) {
+      if (v.is_null()) continue;
+      std::string render = v.ToString();
+      auto [it, inserted] = index.try_emplace(std::move(render), out.size());
+      if (inserted) {
+        out.emplace_back(it->first, 1.0);
+      } else {
+        out[it->second].second += 1.0;
       }
     }
     caches_->distinct = std::move(out);
@@ -128,11 +78,22 @@ AttributeSample::DistinctRenders() const {
   return *caches_->distinct;
 }
 
+const AttributeCodes::ValueCounts& AttributeSample::CodedValues() const {
+  std::call_once(caches_->distinct_once, [this] {
+    caches_->coded_values = codes_->CountValues(positions_);
+  });
+  return *caches_->coded_values;
+}
+
 const GramProfile& AttributeSample::QGramProfile() const {
   std::call_once(caches_->qgram_once, [this] {
+    if (codes_ != nullptr) {
+      caches_->qgram_profile = codes_->QGramProfile(CodedValues());
+      return;
+    }
     GramProfileBuilder builder;
     for (const auto& [text, count] : DistinctRenders()) {
-      builder.AddText(text, 3, count);
+      builder.AddText(text, AttributeCodes::kGramQ, count);
     }
     caches_->qgram_profile = builder.Build();
   });
@@ -141,6 +102,10 @@ const GramProfile& AttributeSample::QGramProfile() const {
 
 const csm::WordProfile& AttributeSample::WordProfile() const {
   std::call_once(caches_->word_once, [this] {
+    if (codes_ != nullptr) {
+      caches_->word_profile = codes_->WordProfile(CodedValues());
+      return;
+    }
     WordProfileBuilder builder;
     for (const auto& [text, count] : DistinctRenders()) {
       builder.AddText(text, count);
@@ -153,30 +118,8 @@ const csm::WordProfile& AttributeSample::WordProfile() const {
 const DescriptiveStats& AttributeSample::NumericStats() const {
   std::call_once(caches_->numeric_once, [this] {
     DescriptiveStats stats;
-    if (column_.has_value()) {
-      // Typed row-order accumulation — the same Add sequence the boxed
-      // loop produced (DescriptiveStats is order-sensitive).
-      switch (column_->type()) {
-        case ValueType::kNull:
-        case ValueType::kString:
-          break;  // no numeric values
-        case ValueType::kInt: {
-          const std::vector<int64_t>& ints = column_->ints();
-          const std::vector<uint8_t>& nulls = column_->null_mask();
-          for (size_t r = 0; r < column_->size(); ++r) {
-            if (!nulls[r]) stats.Add(static_cast<double>(ints[r]));
-          }
-          break;
-        }
-        case ValueType::kReal: {
-          const std::vector<double>& reals = column_->reals();
-          const std::vector<uint8_t>& nulls = column_->null_mask();
-          for (size_t r = 0; r < column_->size(); ++r) {
-            if (!nulls[r]) stats.Add(reals[r]);
-          }
-          break;
-        }
-      }
+    if (codes_ != nullptr) {
+      stats = codes_->NumericStats(positions_);
     } else {
       for (const Value& v : values_) {
         if (v.IsNumeric()) stats.Add(v.AsNumeric());

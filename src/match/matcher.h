@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "match/attribute_codes.h"
 #include "relational/schema.h"
 #include "relational/table.h"
 #include "stats/descriptive.h"
@@ -25,12 +26,20 @@ namespace csm {
 /// (e.g., a target attribute compared against many candidate views) pays
 /// the tokenization cost once.
 ///
-/// Two storage modes: FromTable keeps the attribute's Column segment
-/// (sharing the string dictionary, no boxing), and the profile builders
-/// tokenize each *distinct* rendered value once, scaled by its
-/// multiplicity — bit-identical to per-row tokenization because the counts
-/// are exact integers.  The explicit-bag constructor (restricted candidate
-/// bags, tests) keeps boxed Values; values() boxes lazily in column mode.
+/// Two storage modes:
+///   * Coded (FromTable, FromPositions): a shared AttributeCodes
+///     (match/attribute_codes.h) plus a row position list.  The codes
+///     tokenize each distinct value the column references once, and a
+///     sample's profiles count those token ids scaled by each value's
+///     multiplicity — bit-identical to per-row tokenization because the
+///     counts are exact integers.  Session samples cover every row of a
+///     (training-capped) table; ContextMatch's candidate-view and placebo
+///     samples restrict one run-wide AttributeCodes to their rows, so
+///     scoring many bags of an attribute tokenizes each value once in all.
+///   * The explicit-bag constructor keeps boxed Values.  It is the test
+///     API and the reference the coded mode is checked against
+///     (FuzzCodedSampleEquivalence); no production path builds one.
+/// values() boxes lazily in coded mode.
 ///
 /// Thread safety: the lazy caches are built under std::call_once, so a
 /// sample shared across ParallelFor workers (a TableMatchSession's target
@@ -40,21 +49,31 @@ namespace csm {
 class AttributeSample {
  public:
   AttributeSample() = default;
+  /// Bag mode: the test API and the oracle of the coded mode (see above).
   AttributeSample(AttributeRef ref, ValueType type, std::vector<Value> values)
       : ref_(std::move(ref)),
         type_(type),
         values_(std::move(values)),
         size_(values_.size()) {}
 
-  /// Builds a sample for one attribute of `instance`, keeping the column
-  /// segment (dictionary shared, no per-row boxing).
+  /// Builds a sample over every row of one attribute of `instance` (no
+  /// per-row boxing; the codes share the column's dictionary).
   static AttributeSample FromTable(const Table& instance,
                                    std::string_view attribute);
+
+  /// Builds a sample over the rows at `positions` (each < codes->
+  /// num_rows(); repeats allowed) of the column `codes` was built from.
+  /// Every statistic equals that of the boxed bag of the same rows in the
+  /// same order, bit for bit.
+  static AttributeSample FromPositions(AttributeRef ref, ValueType type,
+                                       std::shared_ptr<const AttributeCodes>
+                                           codes,
+                                       PosList positions);
 
   const AttributeRef& ref() const { return ref_; }
   ValueType declared_type() const { return type_; }
 
-  /// The boxed value bag; in column mode it is materialized lazily on
+  /// The boxed value bag; in coded mode it is materialized lazily on
   /// first use (the profile paths never need it).
   const std::vector<Value>& values() const;
   size_t size() const { return size_; }
@@ -87,22 +106,27 @@ class AttributeSample {
     std::once_flag numeric_once;
     std::optional<std::vector<Value>> boxed_values;
     size_t non_null_count = 0;
-    /// Distinct rendered (ToString) non-null values with multiplicities.
+    /// Bag mode: distinct rendered (ToString) non-null values with
+    /// multiplicities.
     std::optional<std::vector<std::pair<std::string, double>>> distinct;
+    /// Coded mode: distinct value ids with multiplicities.
+    std::optional<AttributeCodes::ValueCounts> coded_values;
     std::optional<GramProfile> qgram_profile;
     std::optional<csm::WordProfile> word_profile;
     std::optional<DescriptiveStats> numeric_stats;
   };
 
-  /// Distinct rendered values with multiplicities — the shared input of
-  /// both token profile builders.
+  /// Bag mode: distinct rendered values with multiplicities — the shared
+  /// input of both token profile builders.
   const std::vector<std::pair<std::string, double>>& DistinctRenders() const;
+  /// Coded mode: the counterpart of DistinctRenders.
+  const AttributeCodes::ValueCounts& CodedValues() const;
 
   AttributeRef ref_;
   ValueType type_ = ValueType::kString;
-  /// Column mode: the attribute's segment (dictionary shared with the
-  /// source table, copy-on-write).  Bag mode: values_ holds the bag.
-  std::optional<Column> column_;
+  /// Coded mode: codes_ and positions_.  Bag mode: values_ holds the bag.
+  std::shared_ptr<const AttributeCodes> codes_;
+  PosList positions_;
   std::vector<Value> values_;
   size_t size_ = 0;
   std::shared_ptr<Caches> caches_ = std::make_shared<Caches>();

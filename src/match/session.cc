@@ -220,17 +220,18 @@ MatchScore TableMatchSession::PairScore(std::string_view source_attribute,
 MatchScore TableMatchSession::ScoreRestricted(
     std::string_view source_attribute, const std::vector<Value>& restricted_bag,
     const AttributeRef& target) const {
-  AttributeSample restricted =
-      MakeRestrictedSample(source_attribute, restricted_bag);
-  return ScoreRestrictedSample(restricted, target);
+  const AttributeSample& source = source_samples_[SourceIndex(source_attribute)];
+  return ScoreRestrictedSample(
+      AttributeSample(source.ref(), source.declared_type(), restricted_bag),
+      target);
 }
 
 AttributeSample TableMatchSession::MakeRestrictedSample(
-    std::string_view source_attribute, std::vector<Value> restricted_bag) const {
-  size_t s = SourceIndex(source_attribute);
-  return AttributeSample(source_samples_[s].ref(),
-                         source_samples_[s].declared_type(),
-                         std::move(restricted_bag));
+    std::string_view source_attribute,
+    std::shared_ptr<const AttributeCodes> codes, PosList positions) const {
+  const AttributeSample& source = source_samples_[SourceIndex(source_attribute)];
+  return AttributeSample::FromPositions(source.ref(), source.declared_type(),
+                                        std::move(codes), std::move(positions));
 }
 
 MatchScore TableMatchSession::ScoreRestrictedSample(

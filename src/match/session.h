@@ -121,16 +121,21 @@ class TableMatchSession {
   /// Re-scores a restricted source bag (a candidate view's values of
   /// `source_attribute`) against `target`, converting raw scores with the
   /// distributions recorded during construction, per the strawman
-  /// discussion in Section 3.  This is ContextMatch's ScoreMatch.
+  /// discussion in Section 3.  This is ContextMatch's ScoreMatch over a
+  /// boxed bag: the test API and the reference the coded path is checked
+  /// against.  The engine scores through MakeRestrictedSample instead.
   MatchScore ScoreRestricted(std::string_view source_attribute,
                              const std::vector<Value>& restricted_bag,
                              const AttributeRef& target) const;
 
-  /// Builds a reusable restricted sample for `source_attribute`.  When one
-  /// bag is scored against many targets, build the sample once (its token
-  /// profiles are cached inside) and call ScoreRestrictedSample per target.
-  AttributeSample MakeRestrictedSample(std::string_view source_attribute,
-                                       std::vector<Value> restricted_bag) const;
+  /// Builds a reusable restricted sample of `source_attribute` over the
+  /// rows at `positions`, profiled from `codes` (built over that
+  /// attribute's column of the source table).  When one bag is scored
+  /// against many targets, build the sample once (its token profiles are
+  /// cached inside) and call ScoreRestrictedSample per target.
+  AttributeSample MakeRestrictedSample(
+      std::string_view source_attribute,
+      std::shared_ptr<const AttributeCodes> codes, PosList positions) const;
 
   /// Scores a sample created by MakeRestrictedSample against `target`.
   MatchScore ScoreRestrictedSample(const AttributeSample& sample,

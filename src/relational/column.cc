@@ -347,17 +347,6 @@ std::optional<uint32_t> Column::CodeFor(std::string_view s) const {
   return dict_->Find(s);
 }
 
-std::vector<std::pair<uint32_t, size_t>> Column::CodeCounts() const {
-  CSM_CHECK(type_ == ValueType::kString) << "not a string column";
-  std::unordered_map<uint32_t, size_t> counts;
-  for (uint32_t code : codes_) {
-    if (code != kNullCode) ++counts[code];
-  }
-  std::vector<std::pair<uint32_t, size_t>> out(counts.begin(), counts.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 void Column::EnsureOwnDictionary() {
   if (dict_.use_count() > 1) {
     dict_ = std::make_shared<StringDictionary>(*dict_);

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <utility>
 
+#include "check/invariants.h"
 #include "common/logging.h"
 
 namespace csm {
@@ -94,6 +96,19 @@ GramId TokenInterner::Find(std::string_view token) const {
   return it == index_.end() ? kNoGramId : it->second;
 }
 
+GramProfile GramProfile::FromSortedEntries(std::vector<Entry> entries,
+                                           double total) {
+  if constexpr (check::kInvariantsEnabled) {
+    for (size_t i = 1; i < entries.size(); ++i) {
+      CSM_INVARIANT_LT(entries[i - 1].id, entries[i].id);
+    }
+  }
+  GramProfile profile;
+  profile.entries_ = std::move(entries);
+  profile.total_ = total;
+  return profile;
+}
+
 double GramProfile::Count(GramId id) const {
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), id,
@@ -170,6 +185,21 @@ GramProfile GramProfileBuilder::Build() {
       profile.entries_.size(), std::memory_order_relaxed);
   counts_.clear();
   total_ = 0.0;
+  return profile;
+}
+
+WordProfile WordProfile::FromSortedEntries(
+    std::shared_ptr<const TokenInterner> interner, std::vector<Entry> entries,
+    double total) {
+  if constexpr (check::kInvariantsEnabled) {
+    for (size_t i = 1; i < entries.size(); ++i) {
+      CSM_INVARIANT(entries[i - 1].token < entries[i].token);
+    }
+  }
+  WordProfile profile;
+  profile.interner_ = std::move(interner);
+  profile.entries_ = std::move(entries);
+  profile.total_ = total;
   return profile;
 }
 

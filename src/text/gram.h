@@ -118,6 +118,13 @@ class GramProfile {
 
   GramProfile() = default;
 
+  /// Wraps `entries` (ids strictly increasing, counts exact integers) and
+  /// their sum `total` without re-sorting: the emit step of callers that
+  /// count into dense rank arrays (match/attribute_codes.h) instead of a
+  /// builder's hash map.
+  static GramProfile FromSortedEntries(std::vector<Entry> entries,
+                                       double total);
+
   bool empty() const { return entries_.empty(); }
   size_t num_distinct() const { return entries_.size(); }
   double total() const { return total_; }
@@ -172,6 +179,13 @@ class WordProfile {
   };
 
   WordProfile() = default;
+
+  /// Wraps `entries` (tokens strictly increasing lexicographically, each
+  /// viewing a token owned by `interner`) and their count sum `total`.
+  /// Profiles built this way share the interner's token bytes.
+  static WordProfile FromSortedEntries(
+      std::shared_ptr<const TokenInterner> interner,
+      std::vector<Entry> entries, double total);
 
   bool empty() const { return entries_.empty(); }
   size_t num_distinct() const { return entries_.size(); }

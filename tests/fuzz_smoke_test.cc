@@ -62,6 +62,11 @@ TEST(FuzzSmokeTest, TokenKernelEquivalence) {
   EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
+TEST(FuzzSmokeTest, CodedSampleEquivalence) {
+  const Status status = check::FuzzCodedSampleEquivalence(Options(150));
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
 TEST(FuzzSmokeTest, DifferentialOracles) {
   const Status status = check::FuzzDifferential(Options(10));
   EXPECT_TRUE(status.ok()) << status.ToString();

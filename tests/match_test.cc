@@ -1,11 +1,14 @@
 // Tests for src/match: matchers, score normalization, the match session,
-// and restricted-bag rescoring.
+// restricted-bag rescoring and the coded (AttributeCodes) samples.
+
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "common/string_util.h"
 #include "datagen/wordlists.h"
+#include "match/attribute_codes.h"
 #include "match/matchers.h"
 #include "match/session.h"
 #include "relational/sample.h"
@@ -62,6 +65,148 @@ TEST(AttributeSampleTest, FromTable) {
   EXPECT_EQ(s.ref().ToString(), "t.x");
   EXPECT_EQ(s.declared_type(), ValueType::kInt);
   EXPECT_EQ(s.size(), 2u);
+}
+
+// ------------------------------------------------------- AttributeCodes
+
+uint64_t Bits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+Column MakeColumn(ValueType type, const std::vector<Value>& cells) {
+  Column column(type);
+  for (const Value& v : cells) column.Append(v);
+  return column;
+}
+
+/// A coded sample over `positions` of `column` must equal the boxed bag of
+/// the same rows on every statistic the matchers read, bit for bit.
+void ExpectCodedEqualsBag(const Column& column, const PosList& positions) {
+  std::vector<Value> bag;
+  for (RowId p : positions) bag.push_back(column.GetValue(p));
+  const AttributeRef ref{"t", "a"};
+  AttributeSample boxed(ref, column.type(), bag);
+  AttributeSample coded = AttributeSample::FromPositions(
+      ref, column.type(), AttributeCodes::Build(column), positions);
+
+  EXPECT_EQ(coded.size(), boxed.size());
+  EXPECT_EQ(coded.NonNullCount(), boxed.NonNullCount());
+  EXPECT_EQ(coded.MostlyNumeric(), boxed.MostlyNumeric());
+  const DescriptiveStats& cs = coded.NumericStats();
+  const DescriptiveStats& bs = boxed.NumericStats();
+  EXPECT_EQ(cs.count(), bs.count());
+  EXPECT_EQ(Bits(cs.Mean()), Bits(bs.Mean()));
+  EXPECT_EQ(Bits(cs.PopulationVariance()), Bits(bs.PopulationVariance()));
+  EXPECT_EQ(Bits(cs.Min()), Bits(bs.Min()));
+  EXPECT_EQ(Bits(cs.Max()), Bits(bs.Max()));
+
+  const GramProfile& cg = coded.QGramProfile();
+  const GramProfile& bg = boxed.QGramProfile();
+  ASSERT_EQ(cg.num_distinct(), bg.num_distinct());
+  EXPECT_EQ(Bits(cg.total()), Bits(bg.total()));
+  for (size_t i = 0; i < cg.num_distinct(); ++i) {
+    EXPECT_EQ(cg.entries()[i].id, bg.entries()[i].id);
+    EXPECT_EQ(Bits(cg.entries()[i].count), Bits(bg.entries()[i].count));
+  }
+  const WordProfile& cw = coded.WordProfile();
+  const WordProfile& bw = boxed.WordProfile();
+  ASSERT_EQ(cw.num_distinct(), bw.num_distinct());
+  EXPECT_EQ(Bits(cw.total()), Bits(bw.total()));
+  for (size_t i = 0; i < cw.num_distinct(); ++i) {
+    EXPECT_EQ(cw.entries()[i].token, bw.entries()[i].token);
+    EXPECT_EQ(Bits(cw.entries()[i].count), Bits(bw.entries()[i].count));
+  }
+  EXPECT_EQ(coded.values(), bag);
+}
+
+TEST(AttributeCodesTest, IntColumnMatchesBoxedBag) {
+  const Column column = MakeColumn(
+      ValueType::kInt, {I(3), N(), I(-7), I(3), I(12345), I(0)});
+  ExpectCodedEqualsBag(column, {0, 1, 2, 3, 4, 5});
+  ExpectCodedEqualsBag(column, {4, 0, 3, 3, 1});  // unsorted, repeats
+  ExpectCodedEqualsBag(column, {});
+  EXPECT_EQ(AttributeCodes::Build(column)->num_values(), 4u);
+}
+
+TEST(AttributeCodesTest, RealColumnMatchesBoxedBag) {
+  // -0.0 and 0.0 differ in bits (separate groups) but may render alike;
+  // either way the profiles must add up to the boxed bag's.
+  const Column column = MakeColumn(
+      ValueType::kReal, {R(0.5), R(-0.0), R(0.0), N(), R(2.0), R(0.5),
+                         R(1e20), R(-3.25)});
+  ExpectCodedEqualsBag(column, {0, 1, 2, 3, 4, 5, 6, 7});
+  ExpectCodedEqualsBag(column, {7, 1, 1, 2, 6});
+  EXPECT_EQ(AttributeCodes::Build(column)->num_values(), 6u);
+}
+
+TEST(AttributeCodesTest, StringColumnMatchesBoxedBag) {
+  const Column column = MakeColumn(
+      ValueType::kString,
+      {S("Gone with the Wind"), S("the wind"), N(), S(""), S("!!!"),
+       S("Gone with the Wind"), S("wind-swept  PLAINS 42")});
+  ExpectCodedEqualsBag(column, {0, 1, 2, 3, 4, 5, 6});
+  ExpectCodedEqualsBag(column, {6, 2, 0, 0});
+  const auto codes = AttributeCodes::Build(column);
+  EXPECT_EQ(codes->num_values(), 5u);  // "" and "!!!" are values too
+  // gone, with, the, wind, swept, plains, 42
+  EXPECT_EQ(codes->num_words(), 7u);
+}
+
+TEST(AttributeCodesTest, AllNullColumnsMatchBoxedBag) {
+  const Column nulls = MakeColumn(ValueType::kNull, {N(), N(), N()});
+  ExpectCodedEqualsBag(nulls, {0, 1, 2});
+  const Column null_strings = MakeColumn(ValueType::kString, {N(), N()});
+  ExpectCodedEqualsBag(null_strings, {1, 0});
+  EXPECT_EQ(AttributeCodes::Build(nulls)->num_values(), 0u);
+  EXPECT_EQ(AttributeCodes::Build(null_strings)->num_grams(), 0u);
+}
+
+TEST(AttributeCodesTest, GatheredColumnTokenizesOnlyReferencedValues) {
+  // A 100-value parent dictionary; the gathered column shares it but
+  // references three of its values.
+  Column parent(ValueType::kString);
+  for (int i = 0; i < 100; ++i) {
+    parent.Append(Value::String("title " + std::to_string(i)));
+  }
+  const Column gathered = parent.Gather({7, 42, 7, 99});
+  ASSERT_EQ(gathered.dictionary().size(), 100u);
+
+  const auto codes = AttributeCodes::Build(gathered);
+  EXPECT_EQ(codes->num_rows(), 4u);
+  EXPECT_EQ(codes->num_values(), 3u);
+  EXPECT_EQ(codes->num_words(), 4u);  // title, 7, 42, 99
+  ExpectCodedEqualsBag(gathered, {0, 1, 2, 3});
+}
+
+TEST(AttributeCodesTest, RestrictedSampleScoresLikeBoxedBag) {
+  Table source = MakeTable("s", {"title", "kind"},
+                           {{S("gone with the wind"), S("B")},
+                            {S("abbey road"), S("M")},
+                            {S("the hobbit"), S("B")},
+                            {S("let it be"), S("M")},
+                            {N(), S("B")}});
+  Table books = MakeTable("books", {"name"},
+                          {{S("gone with the wind")}, {S("the hobbit")}});
+  Table music = MakeTable("music", {"album"},
+                          {{S("abbey road")}, {S("let it be")}});
+  Database target;
+  target.AddTable(books);
+  target.AddTable(music);
+  TableMatchSession session(source, target, DefaultMatcherSuite());
+  const auto codes = AttributeCodes::Build(source.column(0));
+  const PosList rows = {0, 2, 4};
+  std::vector<Value> bag;
+  for (RowId r : rows) bag.push_back(source.ValueAt(r, "title"));
+  for (const AttributeRef& target_ref : session.target_refs()) {
+    const MatchScore boxed = session.ScoreRestricted("title", bag, target_ref);
+    const MatchScore coded = session.ScoreRestrictedSample(
+        session.MakeRestrictedSample("title", codes, rows), target_ref);
+    EXPECT_EQ(Bits(coded.score), Bits(boxed.score)) << target_ref.ToString();
+    EXPECT_EQ(Bits(coded.confidence), Bits(boxed.confidence));
+    EXPECT_EQ(coded.matchers_used, boxed.matchers_used);
+  }
 }
 
 // ---------------------------------------------------------- NameMatcher

@@ -276,7 +276,22 @@ TEST(TracedMatchTest, SpansCoverTheRunAndNestUnderRoot) {
   EXPECT_GE(score_spans, 1u);
   EXPECT_EQ(score_spans, result.pool.candidate_views.size());
 
-  // The same run's metrics landed in the result's PhaseReport.
+  // The per-run column encoding has its own span directly under a scoring
+  // phase, and its work counters land in the PhaseReport.
+  size_t encode_spans = 0;
+  for (const auto& s : spans) {
+    if (s.name != "scoring.encode") continue;
+    ++encode_spans;
+    const obs::SpanRecord* p = by_id[s.parent];
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p->name, "scoring");
+  }
+  EXPECT_GE(encode_spans, 1u);
+  EXPECT_GE(result.phases.Count("scoring.coded_attributes"), 1u);
+  EXPECT_GE(result.phases.Count("scoring.coded_values"), 1u);
+
+  // The same run's metrics landed in the result's PhaseReport; encoding
+  // adds no per-view observations.
   EXPECT_EQ(result.phases.Histogram("scoring.view_seconds").count,
             result.pool.candidate_views.size());
   EXPECT_GE(result.phases.Histogram("inference.cell_seconds").count,
