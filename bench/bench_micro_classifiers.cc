@@ -1,11 +1,13 @@
 // Micro-benchmarks (google-benchmark): classifier training/classification,
-// ClusteredViewGen, view materialization, and condition evaluation.
+// ClusteredViewGen (serial, on the small and the 100k-row inventory), view
+// materialization, and condition evaluation.
 
 #include <benchmark/benchmark.h>
 
 #include "common/random.h"
 #include "core/clustered_view_gen.h"
 #include "datagen/retail_gen.h"
+#include "datagen/scale_gen.h"
 #include "datagen/wordlists.h"
 #include "ml/gaussian_classifier.h"
 #include "ml/naive_bayes.h"
@@ -66,8 +68,23 @@ void BM_GaussianClassify(benchmark::State& state) {
 }
 BENCHMARK(BM_GaussianClassify);
 
+/// The 400-item inventory, or the 100k-row scale inventory (the
+/// match_scale source table) where counted training shows.
+const Table& Inventory(int64_t rows) {
+  if (rows <= 400) return SharedData().source.GetTable("inventory");
+  static RetailDataset* scale = [] {
+    ScaleRetailOptions options;
+    options.source_rows = 100'000;
+    options.gamma = 4;
+    options.threads = 1;
+    return new RetailDataset(MakeScaleRetailDataset(options));
+  }();
+  return scale->source.GetTable("inventory");
+}
+
+// Args: {early disjuncts, inventory rows}.
 void BM_ClusteredViewGen(benchmark::State& state) {
-  const Table& inv = SharedData().source.GetTable("inventory");
+  const Table& inv = Inventory(state.range(1));
   ClassifierFactory factory =
       [](ValueType type) -> std::unique_ptr<ValueClassifier> {
     if (type == ValueType::kInt || type == ValueType::kReal) {
@@ -82,7 +99,12 @@ void BM_ClusteredViewGen(benchmark::State& state) {
         ClusteredViewGen(inv, factory, {}, {}, early, rng).size());
   }
 }
-BENCHMARK(BM_ClusteredViewGen)->Arg(0)->Arg(1);
+BENCHMARK(BM_ClusteredViewGen)
+    ->Args({0, 400})
+    ->Args({1, 400})
+    ->Args({0, 100'000})
+    ->Args({1, 100'000})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ViewMaterialize(benchmark::State& state) {
   const RetailDataset& data = SharedData();

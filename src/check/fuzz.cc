@@ -4,9 +4,10 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
-#include <memory>
 #include <limits>
 #include <map>
+#include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,11 +15,16 @@
 #include "check/differential.h"
 #include "check/fingerprint.h"
 #include "check/generators.h"
+#include "core/grid_cell.h"
 #include "core/match_engine.h"
+#include "core/tgt_class_infer.h"
 #include "match/attribute_codes.h"
 #include "match/matchers.h"
+#include "ml/gaussian_classifier.h"
 #include "ml/naive_bayes.h"
+#include "relational/categorical.h"
 #include "relational/csv.h"
+#include "relational/sample.h"
 #include "relational/table_view.h"
 #include "relational/view.h"
 #include "text/gram.h"
@@ -642,8 +648,8 @@ Status FuzzTokenKernelEquivalence(const FuzzOptions& options) {
     }
 
     // (3) Naive Bayes: boxed and coded kernel paths against the reference,
-    // labels = column names.  The coded classifier trains through the
-    // (dictionary, code) memo; classification must still be bit-identical.
+    // labels = column names.  The coded classifier trains through
+    // TrainCoded; classification must still be bit-identical.
     ReferenceNaiveBayes reference(nb_q);
     NaiveBayesClassifier boxed(nb_q);
     NaiveBayesClassifier coded(nb_q);
@@ -675,7 +681,8 @@ Status FuzzTokenKernelEquivalence(const FuzzOptions& options) {
         const std::string text = v.ToString();
         const std::string expected = reference.Classify(text);
         const std::string from_boxed = boxed.Classify(Value::String(text));
-        // ClassifyCoded runs twice so the second call exercises the memo.
+        // ClassifyCoded runs twice: the second call reuses the finalized
+        // model and must agree.
         std::string from_coded;
         if (column.type() == ValueType::kString) {
           const StringDictionary& dict = column.dictionary();
@@ -683,7 +690,7 @@ Status FuzzTokenKernelEquivalence(const FuzzOptions& options) {
           from_coded = coded.ClassifyCoded(dict, code);
           if (coded.ClassifyCoded(dict, code) != from_coded) {
             return Replay(options, i,
-                          Status::Internal("classify memo diverged on \"" +
+                          Status::Internal("repeated ClassifyCoded diverged on \"" +
                                            text + "\""));
           }
         } else {
@@ -872,6 +879,484 @@ Status FuzzCodedSampleEquivalence(const FuzzOptions& options) {
                                          std::to_string(c) + " positions " +
                                          std::to_string(l) + ": " +
                                          divergence));
+        }
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+namespace {
+
+/// The categorical rule as the per-attribute code applied it before the
+/// one-pass split: over the full TableView::ValueCounts map.
+bool ReferenceIsCategorical(const TableView& view, const std::string& attr,
+                            const CategoricalOptions& options) {
+  const std::map<Value, size_t> counts = view.ValueCounts(attr);
+  if (counts.empty()) return false;
+  size_t total_tuples = 0;
+  for (const auto& [value, count] : counts) total_tuples += count;
+  if (total_tuples == 0) return false;
+  const double tuple_threshold =
+      options.tuple_fraction * static_cast<double>(total_tuples);
+  size_t frequent_values = 0;
+  size_t values_with_min_tuples = 0;
+  for (const auto& [value, count] : counts) {
+    if (static_cast<double>(count) > tuple_threshold) ++frequent_values;
+    if (count >= options.min_tuples_per_value) ++values_with_min_tuples;
+  }
+  const double frequent_fraction = static_cast<double>(frequent_values) /
+                                   static_cast<double>(counts.size());
+  if (frequent_fraction <= options.value_fraction) return false;
+  return values_with_min_tuples >= options.min_frequent_values;
+}
+
+/// Equal keys bit for bit (NaN keys included) with equal counts.
+bool SameCounts(const std::map<Value, size_t>& a,
+                const std::map<Value, size_t>& b) {
+  if (a.size() != b.size()) return false;
+  for (auto ia = a.begin(), ib = b.begin(); ia != a.end(); ++ia, ++ib) {
+    if (ia->second != ib->second || ia->first.type() != ib->first.type()) {
+      return false;
+    }
+    if (ia->first.type() == ValueType::kReal) {
+      if (!BitEqual(ia->first.AsReal(), ib->first.AsReal())) return false;
+    } else if (ia->first != ib->first) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A numeric column of `rows` >= `distinct` cells whose non-null cells
+/// take exactly `distinct` values, in shuffled order, with repeats and
+/// NULLs salted in.
+Column DistinctNumericColumn(ValueType type, size_t rows, size_t distinct,
+                             Rng& rng) {
+  std::vector<int64_t> picks(rows);  // -1 = NULL
+  for (size_t r = 0; r < rows; ++r) {
+    if (r < distinct) {
+      picks[r] = static_cast<int64_t>(r);
+    } else {
+      picks[r] = rng.NextBounded(4) == 0
+                     ? -1
+                     : static_cast<int64_t>(rng.NextBounded(distinct));
+    }
+  }
+  rng.Shuffle(picks);
+  Column column(type);
+  for (int64_t pick : picks) {
+    if (pick < 0) {
+      column.AppendNull();
+    } else if (type == ValueType::kInt) {
+      column.Append(Value::Int(pick - 7));
+    } else {
+      column.Append(Value::Real(static_cast<double>(pick) / 8.0 - 1.0));
+    }
+  }
+  return column;
+}
+
+CategoricalOptions RandomCategoricalOptions(Rng& rng) {
+  CategoricalOptions options;
+  if (rng.NextBounded(4) == 0) return options;  // the paper's defaults
+  const double fractions[] = {0.0, 1.0, 1e-9, 1e-3, 0.01, 0.1, 0.5, 2.0};
+  options.value_fraction = fractions[rng.NextBounded(std::size(fractions))];
+  options.tuple_fraction = fractions[rng.NextBounded(std::size(fractions))];
+  options.min_frequent_values = rng.NextBounded(4);
+  options.min_tuples_per_value = rng.NextBounded(4);
+  return options;
+}
+
+/// Views of `table`: identity, a sorted subset, and a gather with repeats
+/// in random order.
+std::vector<TableView> HostileViews(const Table& table, Rng& rng) {
+  std::vector<TableView> views{TableView(table)};
+  PosList subset, gather;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    if (rng.NextBounded(2) == 0) subset.push_back(static_cast<RowId>(r));
+  }
+  const size_t draws = rng.NextBounded(2 * table.num_rows() + 1);
+  for (size_t d = 0; d < draws && table.num_rows() > 0; ++d) {
+    gather.push_back(static_cast<RowId>(rng.NextBounded(table.num_rows())));
+  }
+  views.emplace_back(table, std::move(subset));
+  views.emplace_back(table, std::move(gather));
+  return views;
+}
+
+/// Where SplitCategorical / IsCategoricalAttribute first differ from the
+/// reference rule on `view`, or "".
+std::string CategoricalDivergence(const TableView& view,
+                                  const CategoricalOptions& options) {
+  const CategoricalSplit split = SplitCategorical(view, options);
+  CategoricalSplit want;
+  for (const auto& attr : view.schema().attributes()) {
+    const bool categorical = ReferenceIsCategorical(view, attr.name, options);
+    if (IsCategoricalAttribute(view, attr.name, options) != categorical) {
+      return "IsCategoricalAttribute on " + attr.name;
+    }
+    if (categorical) {
+      want.categorical.push_back(attr.name);
+      want.categorical_counts.push_back(view.ValueCounts(attr.name));
+    } else {
+      want.non_categorical.push_back(attr.name);
+    }
+  }
+  if (split.categorical != want.categorical ||
+      split.non_categorical != want.non_categorical) {
+    return "attribute lists";
+  }
+  for (size_t i = 0; i < want.categorical.size(); ++i) {
+    if (!SameCounts(split.categorical_counts[i], want.categorical_counts[i])) {
+      return "value counts of " + want.categorical[i];
+    }
+  }
+  return "";
+}
+
+}  // namespace
+
+Status FuzzCategoricalEquivalence(const FuzzOptions& options) {
+  for (size_t i = 0; i < options.iterations; ++i) {
+    Rng rng(IterationSeed(options.seed, i));
+    const CategoricalOptions categorical = RandomCategoricalOptions(rng);
+
+    // (1) Hostile small tables plus the shapes the generator never draws:
+    // NaN / signed zeros, all-NULL, NULL-heavy and gathered string columns.
+    HostileTableOptions table_options;
+    table_options.min_rows = 1;
+    table_options.max_rows = 40;
+    table_options.null_probability = rng.NextBounded(2) == 0 ? 0.1 : 0.6;
+    const Table hostile = RandomHostileTable("fuzz", rng, table_options);
+    const size_t rows = hostile.num_rows();
+    TableSchema schema = hostile.schema();
+    std::vector<Column> columns;
+    for (size_t c = 0; c < schema.num_attributes(); ++c) {
+      columns.push_back(hostile.column(c));
+    }
+    schema.AddAttribute("salted", ValueType::kReal);
+    columns.push_back(SaltedRealColumn(rows, rng));
+    schema.AddAttribute("nulls", ValueType::kNull);
+    Column all_null(ValueType::kNull);
+    for (size_t r = 0; r < rows; ++r) all_null.AppendNull();
+    columns.push_back(std::move(all_null));
+    schema.AddAttribute("gathered", ValueType::kString);
+    columns.push_back(GatheredStringColumn(rows, rng));
+    std::vector<Table> tables;
+    tables.push_back(Table::FromColumns(schema, std::move(columns), rows));
+
+    // (2) Numeric columns whose distinct count sits at the early-exit
+    // bound and one either side of it.
+    const size_t bound = CategoricalDistinctBound(categorical);
+    if (bound <= 2100) {
+      const size_t bound_rows = bound + 1 + rng.NextBounded(bound);
+      TableSchema bound_schema("bound");
+      std::vector<Column> bound_columns;
+      for (const size_t distinct : {bound - 1, bound, bound + 1}) {
+        for (const ValueType type : {ValueType::kInt, ValueType::kReal}) {
+          bound_schema.AddAttribute(
+              std::string(type == ValueType::kInt ? "i" : "r") +
+                  std::to_string(distinct),
+              type);
+          bound_columns.push_back(
+              DistinctNumericColumn(type, bound_rows, distinct, rng));
+        }
+      }
+      tables.push_back(Table::FromColumns(
+          std::move(bound_schema), std::move(bound_columns), bound_rows));
+    }
+
+    for (const Table& table : tables) {
+      const std::vector<TableView> views = HostileViews(table, rng);
+      for (size_t v = 0; v < views.size(); ++v) {
+        const std::string divergence =
+            CategoricalDivergence(views[v], categorical);
+        if (!divergence.empty()) {
+          return Replay(options, i,
+                        Status::Internal("categorical split diverged on " +
+                                         table.name() + " view " +
+                                         std::to_string(v) + ": " +
+                                         divergence));
+        }
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+namespace {
+
+/// The row-by-row doTraining + doTesting cycle that CountedCell replaced: a
+/// fresh classifier per cycle, trained on each train row's boxed cells and
+/// tested on each test row, label values resolved through a value -> token
+/// map.  Leaves the cycle's classifier in `*classifier`.
+CellOutcome ReferenceCycle(const TableView& sample, size_t h_col,
+                           size_t l_col, const PosList& train_rows,
+                           const PosList& test_rows,
+                           const LabelGrouping& grouping,
+                           const ClassifierFactory& factory,
+                           std::unique_ptr<ValueClassifier>* classifier) {
+  std::map<Value, std::string> token_of;
+  for (size_t g = 0; g < grouping.num_groups(); ++g) {
+    const std::string token = grouping.Token(g);
+    for (const Value& member : grouping.groups()[g]) {
+      token_of.emplace(member, token);
+    }
+  }
+  *classifier = factory(sample.schema().attribute(h_col).type);
+  CellOutcome out;
+  std::map<std::string, size_t> train_label_counts;
+  for (RowId r : train_rows) {
+    const Value l = sample.ValueAt(r, l_col);
+    if (l.is_null()) continue;
+    const Value h = sample.ValueAt(r, h_col);
+    if (h.is_null()) continue;
+    auto it = token_of.find(l);
+    if (it == token_of.end()) continue;
+    (*classifier)->Train(h, it->second);
+    ++train_label_counts[it->second];
+    ++out.train_count;
+  }
+  if (out.train_count == 0) return out;
+  size_t most_common = 0;
+  for (const auto& [token, count] : train_label_counts) {
+    most_common = std::max(most_common, count);
+  }
+  out.most_common_fraction = static_cast<double>(most_common) /
+                             static_cast<double>(out.train_count);
+  for (RowId r : test_rows) {
+    const Value l = sample.ValueAt(r, l_col);
+    if (l.is_null()) continue;
+    const Value h = sample.ValueAt(r, h_col);
+    if (h.is_null()) continue;
+    auto it = token_of.find(l);
+    if (it == token_of.end()) continue;
+    out.eval.Observe(it->second, (*classifier)->Classify(h));
+  }
+  return out;
+}
+
+/// Where two trained classifiers of the same kind first differ — labels,
+/// training size, classification of every probe, and every log-probability
+/// (NB, Gaussian) or TBag score (TgtTag) bit for bit — or "".
+std::string ClassifierDivergence(const ValueClassifier& got,
+                                 const ValueClassifier& want,
+                                 const std::vector<Value>& probes,
+                                 const std::vector<std::string>& tags) {
+  if (got.Labels() != want.Labels()) return "labels";
+  if (got.TrainingSize() != want.TrainingSize()) return "training size";
+  const std::vector<std::string> labels = want.Labels();
+  for (const Value& probe : probes) {
+    if (got.Classify(probe) != want.Classify(probe)) {
+      return "classification of " + probe.ToString();
+    }
+    for (const std::string& label : labels) {
+      double a = 0.0, b = 0.0;
+      if (auto* nb = dynamic_cast<const NaiveBayesClassifier*>(&got)) {
+        a = nb->LogScore(probe, label);
+        b = dynamic_cast<const NaiveBayesClassifier&>(want).LogScore(probe,
+                                                                     label);
+      } else if (auto* gauss =
+                     dynamic_cast<const GaussianClassifier*>(&got)) {
+        if (!probe.IsNumeric()) continue;
+        a = gauss->LogScore(probe.AsNumeric(), label);
+        b = dynamic_cast<const GaussianClassifier&>(want).LogScore(
+            probe.AsNumeric(), label);
+      }
+      if (!BitEqual(a, b)) {
+        return "log-probability of " + probe.ToString() + " under " + label;
+      }
+    }
+  }
+  if (auto* tag = dynamic_cast<const TgtTagClassifier*>(&got)) {
+    const auto& want_tag = dynamic_cast<const TgtTagClassifier&>(want);
+    for (const std::string& t : tags) {
+      if (tag->BestCat(t) != want_tag.BestCat(t)) return "bestCAT of " + t;
+      for (const std::string& label : labels) {
+        if (!BitEqual(tag->Score(t, label), want_tag.Score(t, label))) {
+          return "TBag score of " + t + " under " + label;
+        }
+      }
+    }
+  }
+  return "";
+}
+
+/// A hostile label column: a few values (NaN and signed zeros among the
+/// reals, a value colliding with a merged group's token among the
+/// strings) with NULLs.
+Column HostileLabelColumn(ValueType type, size_t rows, Rng& rng) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double reals[] = {0.0, -0.0, nan, 1.5, -2.25, 7.0};
+  const size_t values = 2 + rng.NextBounded(5);
+  Column column(type);
+  for (size_t r = 0; r < rows; ++r) {
+    if (rng.NextBounded(6) == 0) {
+      column.AppendNull();
+      continue;
+    }
+    const size_t v = rng.NextBounded(values);
+    switch (type) {
+      case ValueType::kInt:
+        column.Append(Value::Int(static_cast<int64_t>(v) - 2));
+        break;
+      case ValueType::kReal:
+        column.Append(Value::Real(reals[v % std::size(reals)]));
+        break;
+      default:
+        // "L0\x1fL1" collides with the token of the merged {L0, L1}.
+        column.Append(Value::String(v == 5 ? "L0\x1fL1"
+                                           : "L" + std::to_string(v)));
+        break;
+    }
+  }
+  return column;
+}
+
+/// A hostile evidence column: heavy duplicates (or all distinct), NULLs.
+Column HostileEvidenceColumn(ValueType type, size_t rows, Rng& rng) {
+  const size_t pool = rng.NextBounded(3) == 0 ? rows + 1 : 1 + rng.NextBounded(8);
+  std::vector<std::string> texts;
+  for (size_t p = 0; p < pool; ++p) {
+    texts.push_back(RandomHostileCell(rng) + " " + std::to_string(p));
+  }
+  Column column(type);
+  for (size_t r = 0; r < rows; ++r) {
+    if (rng.NextBounded(5) == 0) {
+      column.AppendNull();
+      continue;
+    }
+    const size_t p = rng.NextBounded(pool);
+    if (type == ValueType::kString) {
+      column.Append(Value::String(texts[p]));
+    } else {
+      column.Append(Value::Real(static_cast<double>(p % 9) / 8.0 +
+                                static_cast<double>(p / 9)));
+    }
+  }
+  return column;
+}
+
+}  // namespace
+
+Status FuzzContingencyNbEquivalence(const FuzzOptions& options) {
+  for (size_t i = 0; i < options.iterations; ++i) {
+    Rng rng(IterationSeed(options.seed, i));
+    const size_t rows = 1 + rng.NextBounded(120);
+    const ValueType label_types[] = {ValueType::kString, ValueType::kInt,
+                                     ValueType::kReal};
+    TableSchema schema("cells");
+    std::vector<Column> columns;
+    schema.AddAttribute("l", label_types[rng.NextBounded(3)]);
+    columns.push_back(
+        HostileLabelColumn(schema.attribute(0).type, rows, rng));
+    schema.AddAttribute("text", ValueType::kString);
+    columns.push_back(HostileEvidenceColumn(ValueType::kString, rows, rng));
+    schema.AddAttribute("gathered", ValueType::kString);
+    columns.push_back(GatheredStringColumn(rows, rng));
+    schema.AddAttribute("num", ValueType::kReal);
+    columns.push_back(HostileEvidenceColumn(ValueType::kReal, rows, rng));
+    const Table table = Table::FromColumns(schema, std::move(columns), rows);
+    const std::vector<TableView> views = HostileViews(table, rng);
+    const TableView& sample = views[rng.NextBounded(views.size())];
+    if (sample.num_rows() == 0) continue;
+
+    // Labels unseen at grouping time: the grouping sometimes comes from
+    // the value counts of a subset of the sample's rows.
+    std::map<Value, size_t> grouping_counts = sample.ValueCounts("l");
+    if (rng.NextBounded(2) == 0) {
+      PosList some;
+      for (size_t r = 0; r < sample.num_rows(); ++r) {
+        if (rng.NextBounded(3) != 0) some.push_back(static_cast<RowId>(r));
+      }
+      grouping_counts = sample.Select(std::move(some)).ValueCounts("l");
+    }
+    const double train_fraction = rng.NextDouble();
+    const auto [train_rows, test_rows] =
+        SplitPositions(sample.num_rows(), train_fraction, rng);
+    const LabelKeys keys = LabelKeys::Build(sample, 0);
+
+    // Taggers for TgtTagClassifier, trained on unrelated hostile values.
+    auto text_tagger = std::make_unique<NaiveBayesClassifier>(3);
+    auto num_tagger = std::make_shared<GaussianClassifier>();
+    std::vector<std::string> tags = {"", "T.a", "T.b", "T.c", "T.n", "T.m"};
+    for (size_t t = 0; t < 12; ++t) {
+      text_tagger->Train(Value::String(RandomHostileCell(rng)),
+                         tags[1 + t % 3]);
+      num_tagger->Train(Value::Real(rng.NextDouble(-3.0, 12.0)),
+                        tags[4 + t % 2]);
+    }
+    const std::shared_ptr<const ValueClassifier> shared_text =
+        std::make_shared<MemoizedTagger>(std::move(text_tagger));
+    const ClassifierFactory src_factory =
+        [](ValueType type) -> std::unique_ptr<ValueClassifier> {
+      if (type == ValueType::kReal || type == ValueType::kInt) {
+        return std::make_unique<GaussianClassifier>();
+      }
+      return std::make_unique<NaiveBayesClassifier>(3);
+    };
+    const ClassifierFactory tgt_factory =
+        [&](ValueType type) -> std::unique_ptr<ValueClassifier> {
+      if (type == ValueType::kReal || type == ValueType::kInt) {
+        return std::make_unique<TgtTagClassifier>(num_tagger);
+      }
+      return std::make_unique<TgtTagClassifier>(shared_text);
+    };
+
+    for (size_t h_col = 1; h_col < 4; ++h_col) {
+      std::vector<Value> probes;
+      for (size_t r = 0; r < sample.num_rows(); ++r) {
+        const Value h = sample.ValueAt(r, h_col);
+        if (!h.is_null()) probes.push_back(h);
+      }
+      for (const ClassifierFactory* factory : {&src_factory, &tgt_factory}) {
+        CountedCell counted(sample, h_col, keys, train_rows, test_rows,
+                            *factory);
+        LabelGrouping grouping(grouping_counts);
+        std::optional<ErrorPair> merged;
+        for (size_t cycle = 0; cycle < 8; ++cycle) {
+          const CellOutcome got =
+              counted.Cycle(grouping, merged ? &*merged : nullptr);
+          std::unique_ptr<ValueClassifier> reference;
+          const CellOutcome want =
+              ReferenceCycle(sample, h_col, 0, train_rows, test_rows,
+                             grouping, *factory, &reference);
+          std::string divergence;
+          if (got.train_count != want.train_count) {
+            divergence = "train count";
+          } else if (!BitEqual(got.most_common_fraction,
+                               want.most_common_fraction)) {
+            divergence = "most common fraction";
+          } else if (!(got.eval == want.eval)) {
+            divergence = "confusion or error pairs";
+          } else {
+            divergence = ClassifierDivergence(*counted.classifier(),
+                                              *reference, probes, tags);
+          }
+          if (!divergence.empty()) {
+            return Replay(
+                options, i,
+                Status::Internal("counted cell diverged on column " +
+                                 std::to_string(h_col) + " cycle " +
+                                 std::to_string(cycle) + ": " + divergence));
+          }
+          // Merge two groups: the top error pair, as EarlyDisjuncts does,
+          // or a random pair.
+          if (grouping.num_groups() < 2) break;
+          std::string a, b;
+          const auto ranked = want.eval.NormalizedErrorPairs();
+          if (!ranked.empty() && rng.NextBounded(2) == 0) {
+            a = ranked[0].first.first;
+            b = ranked[0].first.second;
+          } else {
+            const size_t ga = rng.NextBounded(grouping.num_groups());
+            const size_t gb = rng.NextBounded(grouping.num_groups());
+            a = grouping.Token(ga);
+            b = grouping.Token(gb);
+          }
+          merged.reset();
+          if (grouping.MergeByTokens(a, b)) merged = MakeErrorPair(a, b);
         }
       }
     }

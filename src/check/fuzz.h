@@ -50,6 +50,24 @@
 //                            boxed bag of the same rows on every statistic,
 //                            profile entry and default-suite matcher score,
 //                            doubles memcmp-equal
+//   * FuzzCategoricalEquivalence
+//                            hostile tables (NULL-heavy, NaN/signed-zero,
+//                            all-NULL and gathered columns, numeric columns
+//                            at the distinct-count early-exit bound and one
+//                            either side) through identity, subset and
+//                            repeating views under extreme
+//                            CategoricalOptions: SplitCategorical and
+//                            IsCategoricalAttribute against the rule over
+//                            TableView::ValueCounts, counts bit-identical
+//   * FuzzContingencyNbEquivalence
+//                            hostile cells (duplicate and NULL evidence,
+//                            NaN/signed-zero/int/string labels, labels
+//                            unseen at grouping time, gathered views) under
+//                            random and error-pair merge sequences:
+//                            CountedCell against the row-by-row cycle for
+//                            Naive Bayes, Gaussian and TgtTag classifiers —
+//                            confusion and error pairs equal, every
+//                            log-probability and TBag score memcmp-equal
 
 #ifndef CSM_CHECK_FUZZ_H_
 #define CSM_CHECK_FUZZ_H_
@@ -78,6 +96,8 @@ Status FuzzDifferential(const FuzzOptions& options);
 Status FuzzRowColumnarEquivalence(const FuzzOptions& options);
 Status FuzzTokenKernelEquivalence(const FuzzOptions& options);
 Status FuzzCodedSampleEquivalence(const FuzzOptions& options);
+Status FuzzCategoricalEquivalence(const FuzzOptions& options);
+Status FuzzContingencyNbEquivalence(const FuzzOptions& options);
 
 }  // namespace csm::check
 

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <optional>
-#include <set>
-#include <unordered_map>
-
-#include <chrono>
 
 #include "common/fault_injector.h"
 #include "common/logging.h"
@@ -16,83 +13,12 @@
 #include "ml/evaluation.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "relational/categorical.h"
-#include "relational/column.h"
 #include "relational/sample.h"
 #include "stats/significance.h"
 #include "text/gram.h"
 
 namespace csm {
 namespace {
-
-/// Tracks the current grouping of label values; a "group" becomes one view
-/// of the family (a disjunct after merges).
-class LabelGrouping {
- public:
-  explicit LabelGrouping(const std::map<Value, size_t>& value_counts) {
-    for (const auto& [value, count] : value_counts) {
-      groups_.push_back({value});
-    }
-  }
-
-  size_t num_groups() const { return groups_.size(); }
-
-  /// The group token (classifier label) for a label value; "" if unknown.
-  std::string TokenFor(const Value& value) const {
-    for (size_t g = 0; g < groups_.size(); ++g) {
-      for (const Value& member : groups_[g]) {
-        if (member == value) return Token(g);
-      }
-    }
-    return "";
-  }
-
-  /// Canonical token of group `g`: member strings joined by '\x1f'.
-  std::string Token(size_t g) const {
-    std::string out;
-    for (const Value& member : groups_[g]) {
-      if (!out.empty()) out += '\x1f';
-      out += member.ToString();
-    }
-    return out;
-  }
-
-  /// Merges the groups whose tokens are `a` and `b`; returns false if
-  /// either token is unknown or they are the same group.
-  bool MergeByTokens(const std::string& a, const std::string& b) {
-    int ga = -1, gb = -1;
-    for (size_t g = 0; g < groups_.size(); ++g) {
-      if (Token(g) == a) ga = static_cast<int>(g);
-      if (Token(g) == b) gb = static_cast<int>(g);
-    }
-    if (ga < 0 || gb < 0 || ga == gb) return false;
-    auto& dst = groups_[static_cast<size_t>(std::min(ga, gb))];
-    auto& src = groups_[static_cast<size_t>(std::max(ga, gb))];
-    dst.insert(dst.end(), src.begin(), src.end());
-    std::sort(dst.begin(), dst.end());
-    groups_.erase(groups_.begin() + std::max(ga, gb));
-    return true;
-  }
-
-  const std::vector<std::vector<Value>>& groups() const { return groups_; }
-
-  /// Canonical serialization of the whole partition (dedup key).
-  std::string PartitionKey() const {
-    std::vector<std::string> tokens;
-    tokens.reserve(groups_.size());
-    for (size_t g = 0; g < groups_.size(); ++g) tokens.push_back(Token(g));
-    std::sort(tokens.begin(), tokens.end());
-    std::string out;
-    for (const auto& token : tokens) {
-      out += token;
-      out += '\x1e';
-    }
-    return out;
-  }
-
- private:
-  std::vector<std::vector<Value>> groups_;
-};
 
 /// Builds the view family for a grouping of label attribute `l` on `table`.
 ViewFamily FamilyFromGrouping(const TableView& table, const std::string& l,
@@ -113,151 +39,13 @@ ViewFamily FamilyFromGrouping(const TableView& table, const std::string& l,
   return family;
 }
 
-struct TrainTestOutcome {
-  ClassifierEvaluation eval;
-  double most_common_fraction = 0.0;
-  size_t train_count = 0;
-};
-
-/// Per-cycle typed reader state for one attribute: when the backing base
-/// column is a dictionary-encoded string column, rows are read as codes
-/// (kNullCode == NULL) and handed to the classifier's coded fast path;
-/// otherwise rows box through ValueAt exactly as before.  Both train and
-/// test views share the same base table, so one codec serves both loops.
-struct ColumnCodec {
-  const Column* column = nullptr;  // base segment (read through positions)
-  bool coded = false;
-
-  ColumnCodec(const TableView& view, size_t view_col) {
-    column = &view.column(view_col);
-    coded = column->type() == ValueType::kString;
-  }
-};
-
-/// One doTraining + doTesting cycle for (h, l) under `grouping`.  Reads
-/// both sides through zero-copy views; label-value -> group-token lookups
-/// go through a map built once per cycle (label values are unique across
-/// groups, so this is exactly LabelGrouping::TokenFor, minus the linear
-/// scan per row).  String-coded label and evidence columns skip Value
-/// boxing entirely: label tokens resolve by dictionary code, and evidence
-/// cells flow through TrainCoded/ClassifyCoded so the classifier can
-/// memoize per distinct value — the call sequence (and therefore every
-/// score) is identical to the boxed path.
-TrainTestOutcome RunCycle(const TrainTestViewSplit& split, size_t h_col,
-                          size_t l_col, const LabelGrouping& grouping,
-                          const ClassifierFactory& factory,
-                          ValueType h_type) {
-  TrainTestOutcome out;
-  std::unique_ptr<ValueClassifier> classifier = factory(h_type);
-  CSM_CHECK(classifier != nullptr);
-
-  std::map<Value, std::string> token_of;
-  for (size_t g = 0; g < grouping.groups().size(); ++g) {
-    const std::string token = grouping.Token(g);
-    for (const Value& member : grouping.groups()[g]) {
-      token_of.emplace(member, token);
-    }
-  }
-  auto token_for = [&token_of](const Value& value) -> const std::string* {
-    auto it = token_of.find(value);
-    return it == token_of.end() ? nullptr : &it->second;
-  };
-
-  const ColumnCodec l_codec(split.train, l_col);
-  const ColumnCodec h_codec(split.train, h_col);
-
-  // Code -> group token for a coded label column.  Tokens cover exactly the
-  // values token_of covers: a grouping value missing from the dictionary
-  // never occurs in any row, so both lookups skip the same rows.
-  std::unordered_map<uint32_t, const std::string*> token_by_code;
-  if (l_codec.coded) {
-    token_by_code.reserve(token_of.size());
-    for (const auto& [value, token] : token_of) {
-      if (value.type() != ValueType::kString) continue;
-      std::optional<uint32_t> code = l_codec.column->CodeFor(value.AsString());
-      if (code.has_value()) token_by_code[*code] = &token;
-    }
-  }
-  const std::vector<uint32_t>& l_codes = l_codec.column->codes();
-  const std::vector<uint32_t>& h_codes = h_codec.column->codes();
-  const StringDictionary* h_dict =
-      h_codec.coded ? &h_codec.column->dictionary() : nullptr;
-
-  std::map<std::string, size_t> train_label_counts;
-  const TableView& train = split.train;
-  for (size_t r = 0; r < train.num_rows(); ++r) {
-    const RowId pos = train.position(r);
-    const std::string* token = nullptr;
-    if (l_codec.coded) {
-      const uint32_t l_code = l_codes[pos];
-      if (l_code == kNullCode) continue;
-      auto it = token_by_code.find(l_code);
-      token = it == token_by_code.end() ? nullptr : it->second;
-    } else {
-      const Value l_value = train.ValueAt(r, l_col);
-      if (l_value.is_null()) continue;
-      token = token_for(l_value);
-    }
-    if (h_codec.coded) {
-      const uint32_t h_code = h_codes[pos];
-      if (h_code == kNullCode) continue;
-      if (token == nullptr) continue;  // value unseen when grouping was formed
-      classifier->TrainCoded(*h_dict, h_code, *token);
-    } else {
-      const Value h_value = train.ValueAt(r, h_col);
-      if (h_value.is_null()) continue;
-      if (token == nullptr) continue;  // value unseen when grouping was formed
-      classifier->Train(h_value, *token);
-    }
-    ++train_label_counts[*token];
-    ++out.train_count;
-  }
-  if (out.train_count == 0) return out;
-
-  size_t most_common = 0;
-  for (const auto& [token, count] : train_label_counts) {
-    most_common = std::max(most_common, count);
-  }
-  out.most_common_fraction = static_cast<double>(most_common) /
-                             static_cast<double>(out.train_count);
-
-  const TableView& test = split.test;
-  for (size_t r = 0; r < test.num_rows(); ++r) {
-    const RowId pos = test.position(r);
-    const std::string* actual = nullptr;
-    if (l_codec.coded) {
-      const uint32_t l_code = l_codes[pos];
-      if (l_code == kNullCode) continue;
-      auto it = token_by_code.find(l_code);
-      actual = it == token_by_code.end() ? nullptr : it->second;
-    } else {
-      const Value l_value = test.ValueAt(r, l_col);
-      if (l_value.is_null()) continue;
-      actual = token_for(l_value);
-    }
-    if (h_codec.coded) {
-      const uint32_t h_code = h_codes[pos];
-      if (h_code == kNullCode) continue;
-      if (actual == nullptr) continue;
-      out.eval.Observe(*actual, classifier->ClassifyCoded(*h_dict, h_code));
-    } else {
-      const Value h_value = test.ValueAt(r, h_col);
-      if (h_value.is_null()) continue;
-      if (actual == nullptr) continue;
-      out.eval.Observe(*actual, classifier->Classify(h_value));
-    }
-  }
-  return out;
-}
-
 /// One (label attribute, evidence attribute) cell of the classifier grid.
 struct GridCell {
   const std::string* label;
-  size_t l_col;
   const std::map<Value, size_t>* counts;
+  const LabelKeys* keys;
   const std::string* evidence;
   size_t h_col;
-  ValueType h_type;
 };
 
 /// Trains and evaluates one grid cell: the full LateDisjuncts cycle or the
@@ -268,17 +56,21 @@ std::vector<ViewFamily> RunGridCell(const TableView& source_sample,
                                     const GridCell& cell,
                                     const ClassifierFactory& factory,
                                     const ClusteredViewGenOptions& options,
-                                    bool early_disjuncts, Rng& rng) {
+                                    bool early_disjuncts, Rng& rng,
+                                    uint64_t* training_calls) {
   std::vector<ViewFamily> emitted;
-  TrainTestViewSplit split =
-      SplitTrainTestView(source_sample, options.train_fraction, rng);
+  const auto [train_rows, test_rows] =
+      SplitPositions(source_sample.num_rows(), options.train_fraction, rng);
+  CountedCell counted(source_sample, cell.h_col, *cell.keys, train_rows,
+                      test_rows, factory);
   LabelGrouping grouping(*cell.counts);
 
   // Merge loop: one iteration for LateDisjuncts; repeated error-pair
   // merging under EarlyDisjuncts.
+  std::optional<ErrorPair> merged;
   for (;;) {
-    TrainTestOutcome outcome = RunCycle(split, cell.h_col, cell.l_col,
-                                        grouping, factory, cell.h_type);
+    CellOutcome outcome =
+        counted.Cycle(grouping, merged.has_value() ? &*merged : nullptr);
     // The explicit total() == 0 clause keeps the empty-test case (all-NULL
     // columns, single-row samples) out of the significance gate even when a
     // caller sets min_test_size to 0.
@@ -302,15 +94,16 @@ std::vector<ViewFamily> RunGridCell(const TableView& source_sample,
     if (outcome.eval.error_pairs().empty()) break;
     if (grouping.num_groups() <= 2) break;
     const auto ranked = outcome.eval.NormalizedErrorPairs();
-    bool merged = false;
+    merged.reset();
     for (const auto& [pair, weight] : ranked) {
       if (grouping.MergeByTokens(pair.first, pair.second)) {
-        merged = true;
+        merged = pair;
         break;
       }
     }
-    if (!merged) break;
+    if (!merged.has_value()) break;
   }
+  *training_calls = counted.training_calls();
   return emitted;
 }
 
@@ -345,37 +138,42 @@ std::vector<ViewFamily> ClusteredViewGen(
     const TableView& source_sample, const ClassifierFactory& factory,
     const ClusteredViewGenOptions& options,
     const CategoricalOptions& categorical, bool early_disjuncts, Rng& rng,
-    std::vector<std::string> label_attributes,
-    std::vector<std::string> evidence_attributes, exec::ThreadPool* pool,
-    const obs::ObsHooks& obs, const CancellationToken* cancel) {
+    std::vector<std::string> label_attributes, const CategoricalSplit* split,
+    exec::ThreadPool* pool, const obs::ObsHooks& obs,
+    const CancellationToken* cancel) {
   // Nothing to split into train/test: no cell could pass the significance
   // gate, so skip the grid entirely.
   if (source_sample.num_rows() < 2) return {};
-  if (label_attributes.empty()) {
-    label_attributes = CategoricalAttributes(source_sample, categorical);
+  std::optional<CategoricalSplit> local_split;
+  if (split == nullptr) {
+    local_split = SplitCategorical(source_sample, categorical);
+    split = &*local_split;
   }
-  if (evidence_attributes.empty()) {
-    evidence_attributes = NonCategoricalAttributes(source_sample, categorical);
-  }
+  if (label_attributes.empty()) label_attributes = split->categorical;
 
   // Lay out the (l, h) grid up front: one cell per admissible pair, in the
   // same nested order the sequential loop used, so the merge below visits
   // results in the legacy order regardless of which worker ran which cell.
-  std::vector<std::map<Value, size_t>> label_counts(label_attributes.size());
+  // Each label's counts and row keys are shared read-only by its cells.
+  std::vector<std::map<Value, size_t>> other_counts(label_attributes.size());
+  std::vector<LabelKeys> label_keys(label_attributes.size());
   std::vector<GridCell> cells;
   for (size_t li = 0; li < label_attributes.size(); ++li) {
     const std::string& l = label_attributes[li];
-    label_counts[li] = source_sample.ValueCounts(l);
-    const auto& counts = label_counts[li];
-    if (counts.size() < 2 || counts.size() > options.max_label_cardinality) {
+    const std::map<Value, size_t>* counts = split->CountsOf(l);
+    if (counts == nullptr) {
+      other_counts[li] = source_sample.ValueCounts(l);
+      counts = &other_counts[li];
+    }
+    if (counts->size() < 2 || counts->size() > options.max_label_cardinality) {
       continue;
     }
-    const size_t l_col = source_sample.schema().AttributeIndex(l);
-    for (const std::string& h : evidence_attributes) {
+    label_keys[li] = LabelKeys::Build(source_sample,
+                                      source_sample.schema().AttributeIndex(l));
+    for (const std::string& h : split->non_categorical) {
       if (h == l) continue;
-      const size_t h_col = source_sample.schema().AttributeIndex(h);
-      cells.push_back(GridCell{&l, l_col, &counts, &h, h_col,
-                               source_sample.schema().attribute(h_col).type});
+      cells.push_back(GridCell{&l, counts, &label_keys[li], &h,
+                               source_sample.schema().AttributeIndex(h)});
     }
   }
 
@@ -392,6 +190,7 @@ std::vector<ViewFamily> ClusteredViewGen(
       kernel_stats.nb_memo_hits.load(std::memory_order_relaxed);
   const uint64_t grams_before =
       kernel_stats.grams_interned.load(std::memory_order_relaxed);
+  std::atomic<uint64_t> training_calls{0};
   std::vector<std::vector<ViewFamily>> cell_results = exec::ParallelMap(
       pool, cells.size(),
       [&](size_t i) {
@@ -413,9 +212,12 @@ std::vector<ViewFamily> ClusteredViewGen(
         obs::ScopedSpan span(obs.tracer, span_name, parent);
         const auto cell_start = std::chrono::steady_clock::now();
         Rng cell_rng = exec::TaskRng(grid_seed, i);
+        uint64_t cell_training_calls = 0;
         std::vector<ViewFamily> families = RunGridCell(
             source_sample, cells[i], factory, options, early_disjuncts,
-            cell_rng);
+            cell_rng, &cell_training_calls);
+        training_calls.fetch_add(cell_training_calls,
+                                 std::memory_order_relaxed);
         if (obs.metrics != nullptr) {
           obs.metrics->Observe(
               "inference.cell_seconds",
@@ -436,6 +238,8 @@ std::vector<ViewFamily> ClusteredViewGen(
         grams_before;
     if (memo_hits > 0) obs.metrics->AddCounter("ml.nb_memo_hits", memo_hits);
     if (grams > 0) obs.metrics->AddCounter("text.grams_interned", grams);
+    const uint64_t pairs = training_calls.load(std::memory_order_relaxed);
+    if (pairs > 0) obs.metrics->AddCounter("inference.train_pairs", pairs);
   }
 
   // Merge in grid order: best accepted family per (label, partition).

@@ -26,29 +26,27 @@
 #include "common/cancellation.h"
 #include "common/random.h"
 #include "core/context_options.h"
+#include "core/grid_cell.h"
 #include "exec/thread_pool.h"
 #include "ml/classifier.h"
 #include "obs/hooks.h"
+#include "relational/categorical.h"
 #include "relational/table.h"
 #include "relational/table_view.h"
 #include "relational/view.h"
 
 namespace csm {
 
-/// Builds a fresh classifier suited to evidence attribute values of
-/// `evidence_type` (SrcClassInfer: NB for strings, Gaussian for numerics;
-/// TgtClassInfer: the tag-and-bestCAT wrapper).
-using ClassifierFactory =
-    std::function<std::unique_ptr<ValueClassifier>(ValueType evidence_type)>;
-
 /// Runs ClusteredViewGen over every (h, l) pair of `source_sample` — a
 /// zero-copy TableView (a Table converts implicitly) — and
 /// returns the accepted well-clustered view families, deduplicated by
 /// (label attribute, partition) keeping the most significant evidence.
 ///
-/// `label_attributes` / `evidence_attributes` default (when empty) to the
-/// categorical / non-categorical attributes of the sample under
-/// `categorical`.
+/// `split` is the sample's SplitCategorical under `categorical`; when null
+/// it is computed here.  Evidence attributes are its non-categorical
+/// attributes; `label_attributes` defaults (when empty) to its categorical
+/// ones, whose value counts it already holds.  Each grid cell trains and
+/// tests from (evidence, label) counts (core/grid_cell.h).
 ///
 /// When `pool` is non-null the (l, h) classifier grid is trained and
 /// evaluated concurrently, one task per cell.  Each cell derives its own
@@ -59,8 +57,10 @@ using ClassifierFactory =
 /// only read captured state).
 ///
 /// `obs` optionally records one span and one "inference.cell_seconds"
-/// histogram observation per grid cell (plus an "inference.grid_cells"
-/// counter).  Observation never affects the emitted families.
+/// histogram observation per grid cell, plus the "inference.grid_cells"
+/// and "inference.train_pairs" (classifier training calls, see
+/// CountedCell::training_calls) counters.  Observation never affects the
+/// emitted families.
 ///
 /// `cancel` makes the grid cooperative: workers poll the token between
 /// cell claims and drain once it is cancelled, so only a subset of cells
@@ -79,7 +79,7 @@ std::vector<ViewFamily> ClusteredViewGen(
     const ClusteredViewGenOptions& options,
     const CategoricalOptions& categorical, bool early_disjuncts, Rng& rng,
     std::vector<std::string> label_attributes = {},
-    std::vector<std::string> evidence_attributes = {},
+    const CategoricalSplit* split = nullptr,
     exec::ThreadPool* pool = nullptr, const obs::ObsHooks& obs = {},
     const CancellationToken* cancel = nullptr);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/src_class_infer.h"
 #include "relational/categorical.h"
 
 namespace csm {
@@ -15,12 +16,14 @@ std::vector<CandidateView> NaiveInfer::InferCandidateViews(
   const TableView& source = input.source_sample;
 
   const auto& excluded = input.excluded_partition_attributes;
-  for (const std::string& l : CategoricalAttributes(source, categorical_)) {
+  const CategoricalSplit split = SplitSourceCategorical(input, categorical_);
+  for (size_t li = 0; li < split.categorical.size(); ++li) {
+    const std::string& l = split.categorical[li];
     if (std::find(excluded.begin(), excluded.end(), l) != excluded.end()) {
       continue;
     }
     std::vector<Value> values;
-    for (const auto& [value, count] : source.ValueCounts(l)) {
+    for (const auto& [value, count] : split.categorical_counts[li]) {
       values.push_back(value);
     }
     if (values.size() > max_label_cardinality_) continue;

@@ -5,6 +5,7 @@
 #include "core/clustered_view_gen.h"
 #include "ml/gaussian_classifier.h"
 #include "ml/naive_bayes.h"
+#include "obs/trace.h"
 #include "relational/categorical.h"
 
 namespace csm {
@@ -25,10 +26,16 @@ std::vector<CandidateView> CandidatesFromFamilies(
   return DeduplicateCandidates(std::move(out));
 }
 
-std::vector<std::string> FilteredLabelAttributes(
+CategoricalSplit SplitSourceCategorical(
     const InferenceInput& input, const CategoricalOptions& categorical) {
-  std::vector<std::string> labels =
-      CategoricalAttributes(input.source_sample, categorical);
+  obs::ScopedSpan span(input.obs.tracer, "inference.categorical",
+                       input.obs.parent_span);
+  return SplitCategorical(input.source_sample, categorical);
+}
+
+std::vector<std::string> FilteredLabelAttributes(
+    const InferenceInput& input, const CategoricalSplit& split) {
+  std::vector<std::string> labels = split.categorical;
   const auto& excluded = input.excluded_partition_attributes;
   std::erase_if(labels, [&](const std::string& name) {
     return std::find(excluded.begin(), excluded.end(), name) != excluded.end();
@@ -42,7 +49,8 @@ std::vector<CandidateView> SrcClassInfer::InferCandidateViews(
   if (!input.source_sample.valid() || input.source_sample.num_rows() == 0) {
     return {};
   }
-  std::vector<std::string> labels = FilteredLabelAttributes(input, categorical_);
+  const CategoricalSplit split = SplitSourceCategorical(input, categorical_);
+  std::vector<std::string> labels = FilteredLabelAttributes(input, split);
   if (labels.empty()) return {};
   ClassifierFactory factory =
       [](ValueType evidence_type) -> std::unique_ptr<ValueClassifier> {
@@ -53,7 +61,7 @@ std::vector<CandidateView> SrcClassInfer::InferCandidateViews(
   };
   std::vector<ViewFamily> families = ClusteredViewGen(
       input.source_sample, factory, clustered_, categorical_,
-      input.early_disjuncts, rng, std::move(labels), {}, input.pool,
+      input.early_disjuncts, rng, std::move(labels), &split, input.pool,
       input.obs, input.cancel);
   return CandidatesFromFamilies(families);
 }

@@ -6,6 +6,7 @@
 #define CSM_CORE_SRC_CLASS_INFER_H_
 
 #include "core/view_inference.h"
+#include "relational/categorical.h"
 
 namespace csm {
 
@@ -30,11 +31,17 @@ class SrcClassInfer : public ViewInference {
 std::vector<CandidateView> CandidatesFromFamilies(
     const std::vector<ViewFamily>& families);
 
-/// Categorical attributes of the source sample minus the input's excluded
-/// partition attributes (shared with TgtClassInfer).  Returns at least an
-/// empty vector; callers should skip inference when it is empty.
+/// The source sample's categorical split, traced as the
+/// "inference.categorical" span under the input's parent span (shared with
+/// TgtClassInfer and NaiveInfer).
+CategoricalSplit SplitSourceCategorical(const InferenceInput& input,
+                                        const CategoricalOptions& categorical);
+
+/// The split's categorical attributes minus the input's excluded partition
+/// attributes (shared with TgtClassInfer).  Callers should skip inference
+/// when it is empty.
 std::vector<std::string> FilteredLabelAttributes(
-    const InferenceInput& input, const CategoricalOptions& categorical);
+    const InferenceInput& input, const CategoricalSplit& split);
 
 }  // namespace csm
 

@@ -30,13 +30,17 @@ std::unique_ptr<ValueClassifier> CreateTargetClassifier(
       if (!numeric_type && attr.type != type) continue;
       const std::string label = table.name() + "." + attr.name;
       if (attr.type == ValueType::kString) {
-        // Coded path: each distinct value is tokenized once by the
-        // classifier's (dictionary, code) training memo.
+        // Counted: each distinct value trains once, weighted by its
+        // occurrences (the classifier's state is integer counts).
         const Column& column = table.column(c);
         const StringDictionary& dict = column.dictionary();
+        std::vector<size_t> per_code(dict.size(), 0);
         for (uint32_t code : column.codes()) {
-          if (code == kNullCode) continue;
-          classifier->TrainCoded(dict, code, label);
+          if (code != kNullCode) ++per_code[code];
+        }
+        for (uint32_t code = 0; code < per_code.size(); ++code) {
+          if (per_code[code] == 0) continue;
+          classifier->TrainCoded(dict, code, label, per_code[code]);
           trained_any = true;
         }
         continue;
@@ -52,6 +56,32 @@ std::unique_ptr<ValueClassifier> CreateTargetClassifier(
   return classifier;
 }
 
+void MemoizedTagger::Train(const Value&, const std::string&) {
+  CSM_CHECK(false) << "MemoizedTagger wraps an already trained tagger";
+}
+
+std::string MemoizedTagger::ClassifyCoded(const StringDictionary& dict,
+                                          uint32_t code) const {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto dict_it = memo_.find(&dict);
+    if (dict_it != memo_.end()) {
+      auto it = dict_it->second.find(code);
+      if (it != dict_it->second.end()) {
+        GlobalTokenKernelStats().nb_memo_hits.fetch_add(
+            1, std::memory_order_relaxed);
+        return it->second;
+      }
+    }
+  }
+  // Miss: classify outside the lock (a racing duplicate computes the same
+  // deterministic tag), then publish.
+  std::string tag = tagger_->ClassifyCoded(dict, code);
+  std::lock_guard<std::mutex> lock(mu_);
+  memo_[&dict].emplace(code, tag);
+  return tag;
+}
+
 std::string TgtTagClassifier::Tag(const Value& input) const {
   if (tagger_ == nullptr) return "";
   return tagger_->Classify(input);
@@ -63,23 +93,48 @@ std::string TgtTagClassifier::TagCoded(const StringDictionary& dict,
   return tagger_->ClassifyCoded(dict, code);
 }
 
+void TgtTagClassifier::AddToBag(const std::string& tag,
+                                const std::string& label, size_t count) {
+  tbag_[{tag, label}] += count;
+  tag_totals_[tag] += count;
+  label_totals_[label] += count;
+  total_ += count;
+}
+
 void TgtTagClassifier::Train(const Value& input, const std::string& label) {
   if (input.is_null()) return;
-  const std::string tag = Tag(input);
-  ++tbag_[{tag, label}];
-  ++tag_totals_[tag];
-  ++label_totals_[label];
-  ++total_;
+  AddToBag(Tag(input), label, 1);
 }
 
 void TgtTagClassifier::TrainCoded(const StringDictionary& dict, uint32_t code,
-                                  const std::string& label) {
-  if (code == kNullCode) return;
-  const std::string tag = TagCoded(dict, code);
-  ++tbag_[{tag, label}];
-  ++tag_totals_[tag];
-  ++label_totals_[label];
-  ++total_;
+                                  const std::string& label, size_t count) {
+  if (code == kNullCode || count == 0) return;
+  AddToBag(TagCoded(dict, code), label, count);
+}
+
+bool TgtTagClassifier::MergeLabels(const std::string& a, const std::string& b,
+                                   const std::string& merged) {
+  // Collect first: `merged` may already be a label (token collisions).
+  std::map<std::string, size_t> moved_tags;
+  size_t moved_total = 0;
+  for (const std::string* label : {&a, &b}) {
+    auto total_it = label_totals_.find(*label);
+    if (total_it == label_totals_.end()) continue;
+    moved_total += total_it->second;
+    label_totals_.erase(total_it);
+    for (auto it = tbag_.begin(); it != tbag_.end();) {
+      if (it->first.second == *label) {
+        moved_tags[it->first.first] += it->second;
+        it = tbag_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  if (moved_total == 0) return true;
+  label_totals_[merged] += moved_total;
+  for (const auto& [tag, count] : moved_tags) tbag_[{tag, merged}] += count;
+  return true;
 }
 
 double TgtTagClassifier::Score(const std::string& tag,
@@ -138,13 +193,17 @@ std::vector<CandidateView> TgtClassInfer::InferCandidateViews(
     return {};
   }
   CSM_CHECK(input.target_sample != nullptr);
-  std::vector<std::string> labels =
-      FilteredLabelAttributes(input, categorical_);
+  const CategoricalSplit split = SplitSourceCategorical(input, categorical_);
+  std::vector<std::string> labels = FilteredLabelAttributes(input, split);
   if (labels.empty()) return {};
 
-  // One shared target classifier per basic type family.
-  auto string_tagger = std::shared_ptr<const ValueClassifier>(
-      CreateTargetClassifier(ValueType::kString, *input.target_sample));
+  // One shared target classifier per basic type family; the string tagger
+  // memoizes per distinct value across cells.
+  std::shared_ptr<const ValueClassifier> string_tagger;
+  if (auto tagger =
+          CreateTargetClassifier(ValueType::kString, *input.target_sample)) {
+    string_tagger = std::make_shared<MemoizedTagger>(std::move(tagger));
+  }
   auto numeric_tagger = std::shared_ptr<const ValueClassifier>(
       CreateTargetClassifier(ValueType::kReal, *input.target_sample));
 
@@ -158,7 +217,7 @@ std::vector<CandidateView> TgtClassInfer::InferCandidateViews(
   };
   std::vector<ViewFamily> families = ClusteredViewGen(
       input.source_sample, factory, clustered_, categorical_,
-      input.early_disjuncts, rng, std::move(labels), {}, input.pool,
+      input.early_disjuncts, rng, std::move(labels), &split, input.pool,
       input.obs, input.cancel);
   return CandidatesFromFamilies(families);
 }

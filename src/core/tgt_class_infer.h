@@ -16,6 +16,8 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
+#include <unordered_map>
 
 #include "core/view_inference.h"
 #include "ml/classifier.h"
@@ -28,6 +30,35 @@ namespace csm {
 /// the target has no attribute of that type.
 std::unique_ptr<ValueClassifier> CreateTargetClassifier(
     ValueType type, const Database& target_sample);
+
+/// A trained tagger shared read-only by every grid cell, with a memo of
+/// ClassifyCoded per (dictionary, code): the cells of one evidence
+/// attribute tag each distinct value once between them.  Memo hits count
+/// into TokenKernelStats::nb_memo_hits.  Thread-safe for classification;
+/// the wrapped tagger must be fully trained (Train CHECK-fails).
+class MemoizedTagger : public ValueClassifier {
+ public:
+  explicit MemoizedTagger(std::unique_ptr<ValueClassifier> tagger)
+      : tagger_(std::move(tagger)) {}
+
+  void Train(const Value& input, const std::string& label) override;
+  std::string Classify(const Value& input) const override {
+    return tagger_->Classify(input);
+  }
+  std::string ClassifyCoded(const StringDictionary& dict,
+                            uint32_t code) const override;
+  std::vector<std::string> Labels() const override {
+    return tagger_->Labels();
+  }
+  size_t TrainingSize() const override { return tagger_->TrainingSize(); }
+
+ private:
+  std::unique_ptr<ValueClassifier> tagger_;
+  mutable std::mutex mu_;
+  mutable std::unordered_map<const StringDictionary*,
+                             std::unordered_map<uint32_t, std::string>>
+      memo_;  // guarded by mu_
+};
 
 /// The TBag / bestCAT wrapper: a ValueClassifier whose labels are
 /// categorical values, driven by a shared per-type target classifier.
@@ -42,11 +73,15 @@ class TgtTagClassifier : public ValueClassifier {
   void Train(const Value& input, const std::string& label) override;
   std::string Classify(const Value& input) const override;
   /// Coded fast paths: hand the dictionary code straight to the shared
-  /// tagger so its per-distinct-value memo is keyed without boxing.
+  /// tagger (a MemoizedTagger keys its memo on it); TrainCoded tags once and
+  /// adds `count` to the TBag.
   void TrainCoded(const StringDictionary& dict, uint32_t code,
-                  const std::string& label) override;
+                  const std::string& label, size_t count = 1) override;
   std::string ClassifyCoded(const StringDictionary& dict,
                             uint32_t code) const override;
+  /// Sums the two labels' TBag columns and totals.
+  bool MergeLabels(const std::string& a, const std::string& b,
+                   const std::string& merged) override;
   std::vector<std::string> Labels() const override;
   size_t TrainingSize() const override { return total_; }
 
@@ -59,6 +94,8 @@ class TgtTagClassifier : public ValueClassifier {
  private:
   std::string Tag(const Value& input) const;
   std::string TagCoded(const StringDictionary& dict, uint32_t code) const;
+  void AddToBag(const std::string& tag, const std::string& label,
+                size_t count);
 
   std::shared_ptr<const ValueClassifier> tagger_;
   /// TBag counts: (tag, label) -> occurrences.

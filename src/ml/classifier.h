@@ -8,6 +8,7 @@
 #ifndef CSM_ML_CLASSIFIER_H_
 #define CSM_ML_CLASSIFIER_H_
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,19 +29,32 @@ class ValueClassifier {
   /// seen no training data (or cannot score the input at all).
   virtual std::string Classify(const Value& input) const = 0;
 
-  /// Coded fast path: the example is cell `code` of a dictionary-encoded
-  /// string column.  Semantically identical to boxing the cell into a Value
-  /// (kNullCode behaves as NULL); implementations may key per-distinct-value
-  /// memos on (dictionary, code).  Defaults fall back to the Value path.
+  /// Coded fast path: `count` examples of cell `code` of a
+  /// dictionary-encoded string column, all labeled `label`.  Semantically
+  /// identical to `count` Train calls on the boxed cell (kNullCode behaves
+  /// as NULL); classifiers whose state is integer counts absorb them as one
+  /// weighted update.  The default falls back to the Value path.
   virtual void TrainCoded(const StringDictionary& dict, uint32_t code,
-                          const std::string& label) {
+                          const std::string& label, size_t count = 1) {
     if (code == kNullCode) return;
-    Train(Value::String(dict.value(code)), label);
+    const Value input = Value::String(dict.value(code));
+    for (size_t i = 0; i < count; ++i) Train(input, label);
   }
   virtual std::string ClassifyCoded(const StringDictionary& dict,
                                     uint32_t code) const {
     if (code == kNullCode) return Classify(Value::Null());
     return Classify(Value::String(dict.value(code)));
+  }
+
+  /// Relabels every example of labels `a` and `b` as `merged` (adding to
+  /// `merged`'s examples if it exists), leaving the classifier exactly as if
+  /// it had been trained on the relabeled examples from scratch.  Returns
+  /// false, changing nothing, when the classifier cannot merge exactly
+  /// (its state depends on training order); the caller then retrains.
+  virtual bool MergeLabels(const std::string& /*a*/,
+                           const std::string& /*b*/,
+                           const std::string& /*merged*/) {
+    return false;
   }
 
   /// Distinct labels seen during training, sorted.

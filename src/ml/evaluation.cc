@@ -17,16 +17,18 @@ double FBeta(double precision, double recall, double beta) {
 }
 
 void ClassifierEvaluation::Observe(const std::string& actual,
-                                   const std::string& predicted) {
-  ++total_;
-  ++labels_[actual].actual_total;
+                                   const std::string& predicted,
+                                   size_t count) {
+  total_ += count;
+  LabelCounts& actual_counts = labels_[actual];
+  actual_counts.actual_total += count;
   if (actual == predicted) {
-    ++correct_;
-    ++labels_[actual].true_positive;
+    correct_ += count;
+    actual_counts.true_positive += count;
   } else {
-    ++labels_[actual].false_negative;
-    ++labels_[predicted].false_positive;
-    ++error_pairs_[MakeErrorPair(actual, predicted)];
+    actual_counts.false_negative += count;
+    labels_[predicted].false_positive += count;
+    error_pairs_[MakeErrorPair(actual, predicted)] += count;
   }
 }
 

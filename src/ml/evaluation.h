@@ -37,7 +37,10 @@ class ClassifierEvaluation {
  public:
   ClassifierEvaluation() = default;
 
-  void Observe(const std::string& actual, const std::string& predicted);
+  /// Records `count` test examples of label `actual` classified as
+  /// `predicted`.  All state is integer counts, so observations commute.
+  void Observe(const std::string& actual, const std::string& predicted,
+               size_t count = 1);
 
   size_t total() const { return total_; }
   size_t correct() const { return correct_; }
@@ -77,12 +80,18 @@ class ClassifierEvaluation {
   /// Labels observed (as actual or predicted), sorted.
   std::vector<std::string> Labels() const;
 
+  /// Equal totals, per-label confusion counts and error pairs.
+  friend bool operator==(const ClassifierEvaluation&,
+                         const ClassifierEvaluation&) = default;
+
  private:
   struct LabelCounts {
     size_t true_positive = 0;
     size_t false_positive = 0;
     size_t false_negative = 0;
     size_t actual_total = 0;
+
+    friend bool operator==(const LabelCounts&, const LabelCounts&) = default;
   };
 
   size_t total_ = 0;

@@ -9,12 +9,13 @@
 namespace csm {
 namespace {
 
-/// Per-thread tokenization scratch (normalized text / gram strings / ids),
-/// so the per-row training and classification loops allocate nothing.
+/// Per-thread tokenization scratch (normalized text / gram strings / ids /
+/// local indices), so training and classification allocate nothing.
 struct TokenScratch {
   std::string padded;
   std::vector<std::string> gram_strings;
   std::vector<GramId> ids;
+  std::vector<uint32_t> local;
 };
 
 TokenScratch& LocalScratch() {
@@ -32,10 +33,8 @@ NaiveBayesClassifier::NaiveBayesClassifier(
       labels_(std::move(other.labels_)),
       vocabulary_(std::move(other.vocabulary_)),
       gram_interner_(std::move(other.gram_interner_)),
-      train_token_memo_(std::move(other.train_token_memo_)),
       finalized_(other.finalized_),
-      models_(std::move(other.models_)),
-      classify_memo_(std::move(other.classify_memo_)) {}
+      model_(std::move(other.model_)) {}
 
 NaiveBayesClassifier& NaiveBayesClassifier::operator=(
     NaiveBayesClassifier&& other) noexcept {
@@ -46,10 +45,8 @@ NaiveBayesClassifier& NaiveBayesClassifier::operator=(
   labels_ = std::move(other.labels_);
   vocabulary_ = std::move(other.vocabulary_);
   gram_interner_ = std::move(other.gram_interner_);
-  train_token_memo_ = std::move(other.train_token_memo_);
   finalized_ = other.finalized_;
-  models_ = std::move(other.models_);
-  classify_memo_ = std::move(other.classify_memo_);
+  model_ = std::move(other.model_);
   return *this;
 }
 
@@ -88,95 +85,132 @@ void NaiveBayesClassifier::TokenizeLookup(std::string_view text,
 }
 
 void NaiveBayesClassifier::TrainTokens(const std::vector<GramId>& grams,
-                                       const std::string& label) {
+                                       const std::string& label,
+                                       size_t count) {
+  // Integer counts in doubles: adding `count` once is exactly `count`
+  // additions of 1.0.
+  const double weight = static_cast<double>(count);
   LabelStats& stats = labels_[label];
-  ++stats.example_count;
-  ++total_examples_;
+  stats.example_count += count;
+  total_examples_ += count;
   uint64_t fresh = 0;
   for (GramId gram : grams) {
-    stats.token_counts[gram] += 1.0;
-    stats.token_total += 1.0;
+    stats.token_counts[gram] += weight;
+    stats.token_total += weight;
     if (vocabulary_.insert(gram).second) ++fresh;
   }
   if (fresh > 0) {
     GlobalTokenKernelStats().grams_interned.fetch_add(
         fresh, std::memory_order_relaxed);
   }
-  {
-    std::lock_guard<std::mutex> lock(model_mu_);
-    finalized_ = false;
-  }
-  std::lock_guard<std::mutex> lock(memo_mu_);
-  if (!classify_memo_.empty()) classify_memo_.clear();
+  std::lock_guard<std::mutex> lock(model_mu_);
+  finalized_ = false;
 }
 
 void NaiveBayesClassifier::Train(const Value& input, const std::string& label) {
   if (input.is_null()) return;
   std::vector<GramId>& ids = LocalScratch().ids;
   TokenizeTrain(input.ToString(), &ids);
-  TrainTokens(ids, label);
+  TrainTokens(ids, label, 1);
 }
 
 void NaiveBayesClassifier::TrainCoded(const StringDictionary& dict,
-                                      uint32_t code,
-                                      const std::string& label) {
-  if (code == kNullCode) return;
-  auto& per_dict = train_token_memo_[&dict];
-  auto [it, inserted] = per_dict.try_emplace(code);
-  if (inserted) TokenizeTrain(dict.value(code), &it->second);
-  TrainTokens(it->second, label);
+                                      uint32_t code, const std::string& label,
+                                      size_t count) {
+  if (code == kNullCode || count == 0) return;
+  std::vector<GramId>& ids = LocalScratch().ids;
+  TokenizeTrain(dict.value(code), &ids);
+  TrainTokens(ids, label, count);
 }
 
-const std::vector<NaiveBayesClassifier::LabelModel>&
-NaiveBayesClassifier::Finalized() const {
+bool NaiveBayesClassifier::MergeLabels(const std::string& a,
+                                       const std::string& b,
+                                       const std::string& merged) {
+  LabelStats sum;
+  bool any = false;
+  for (const std::string* name : {&a, &b}) {
+    auto it = labels_.find(*name);
+    if (it == labels_.end()) continue;
+    any = true;
+    sum.example_count += it->second.example_count;
+    sum.token_total += it->second.token_total;
+    for (const auto& [gram, count] : it->second.token_counts) {
+      sum.token_counts[gram] += count;
+    }
+    labels_.erase(it);
+  }
+  if (!any) return true;
+  LabelStats& target = labels_[merged];
+  target.example_count += sum.example_count;
+  target.token_total += sum.token_total;
+  for (const auto& [gram, count] : sum.token_counts) {
+    target.token_counts[gram] += count;
+  }
   std::lock_guard<std::mutex> lock(model_mu_);
-  if (finalized_) return models_;
-  models_.clear();
-  models_.reserve(labels_.size());
+  finalized_ = false;
+  return true;
+}
+
+const NaiveBayesClassifier::Model& NaiveBayesClassifier::Finalized() const {
+  std::lock_guard<std::mutex> lock(model_mu_);
+  if (finalized_) return model_;
+  Model model;
+  model.vocabulary.assign(vocabulary_.begin(), vocabulary_.end());
+  std::sort(model.vocabulary.begin(), model.vocabulary.end());
+  const size_t row = model.row_size();
+  model.log_probs.resize(labels_.size() * row);
   const double num_labels = static_cast<double>(labels_.size());
   const double vocab = static_cast<double>(vocabulary_.size());
+  size_t l = 0;
   for (const auto& [label, stats] : labels_) {
-    LabelModel model;
-    model.label = &label;
-    model.example_count = stats.example_count;
+    model.labels.push_back(&label);
+    model.example_counts.push_back(stats.example_count);
     // The exact expressions of the original per-call implementation, so the
     // precomputed doubles are bit-identical to recomputing them per row.
-    model.log_prior = std::log(
+    model.log_priors.push_back(std::log(
         (static_cast<double>(stats.example_count) + smoothing_) /
-        (static_cast<double>(total_examples_) + smoothing_ * num_labels));
+        (static_cast<double>(total_examples_) + smoothing_ * num_labels)));
     const double denom = stats.token_total + smoothing_ * (vocab + 1.0);
-    model.log_unseen = std::log((0.0 + smoothing_) / denom);
-    model.gram_ids.reserve(stats.token_counts.size());
+    double* terms = model.log_probs.data() + l * row;
+    std::fill(terms, terms + row, std::log((0.0 + smoothing_) / denom));
     for (const auto& [gram, count] : stats.token_counts) {
-      model.gram_ids.push_back(gram);
+      const size_t local = static_cast<size_t>(
+          std::lower_bound(model.vocabulary.begin(), model.vocabulary.end(),
+                           gram) -
+          model.vocabulary.begin());
+      terms[local] = std::log((count + smoothing_) / denom);
     }
-    std::sort(model.gram_ids.begin(), model.gram_ids.end());
-    model.gram_log_prob.reserve(model.gram_ids.size());
-    for (GramId gram : model.gram_ids) {
-      const double count = stats.token_counts.at(gram);
-      model.gram_log_prob.push_back(std::log((count + smoothing_) / denom));
-    }
-    models_.push_back(std::move(model));
+    ++l;
   }
+  model_ = std::move(model);
   finalized_ = true;
-  return models_;
+  return model_;
 }
 
-double NaiveBayesClassifier::ScoreTokens(
-    const LabelModel& model, const std::vector<GramId>& grams) const {
-  double score = model.log_prior;
+void NaiveBayesClassifier::LocalIds(const Model& model,
+                                    const std::vector<GramId>& grams,
+                                    std::vector<uint32_t>* out) {
+  const uint32_t unseen = static_cast<uint32_t>(model.vocabulary.size());
+  out->clear();
+  out->reserve(grams.size());
   for (GramId gram : grams) {
-    double term = model.log_unseen;
+    uint32_t local = unseen;
     if (gram != kNoGramId) {
-      auto it = std::lower_bound(model.gram_ids.begin(), model.gram_ids.end(),
-                                 gram);
-      if (it != model.gram_ids.end() && *it == gram) {
-        term = model.gram_log_prob[static_cast<size_t>(
-            it - model.gram_ids.begin())];
+      auto it = std::lower_bound(model.vocabulary.begin(),
+                                 model.vocabulary.end(), gram);
+      if (it != model.vocabulary.end() && *it == gram) {
+        local = static_cast<uint32_t>(it - model.vocabulary.begin());
       }
     }
-    score += term;
+    out->push_back(local);
   }
+}
+
+double NaiveBayesClassifier::ScoreLabel(const Model& model, size_t l,
+                                        const std::vector<uint32_t>& local) {
+  const double* terms = model.log_probs.data() + l * model.row_size();
+  double score = model.log_priors[l];
+  for (uint32_t index : local) score += terms[index];
   return score;
 }
 
@@ -186,29 +220,32 @@ double NaiveBayesClassifier::LogScore(const Value& input,
   if (it == labels_.end() || total_examples_ == 0) {
     return -std::numeric_limits<double>::infinity();
   }
-  const std::vector<LabelModel>& models = Finalized();
+  const Model& model = Finalized();
   const size_t index =
       static_cast<size_t>(std::distance(labels_.begin(), it));
-  std::vector<GramId>& ids = LocalScratch().ids;
-  TokenizeLookup(input.ToString(), &ids);
-  return ScoreTokens(models[index], ids);
+  TokenScratch& scratch = LocalScratch();
+  TokenizeLookup(input.ToString(), &scratch.ids);
+  LocalIds(model, scratch.ids, &scratch.local);
+  return ScoreLabel(model, index, scratch.local);
 }
 
 std::string NaiveBayesClassifier::ClassifyTokens(
     const std::vector<GramId>& grams) const {
-  const std::vector<LabelModel>& models = Finalized();
+  const Model& model = Finalized();
+  std::vector<uint32_t>& local = LocalScratch().local;
+  LocalIds(model, grams, &local);
   const std::string* best = nullptr;
   double best_score = -std::numeric_limits<double>::infinity();
   size_t best_frequency = 0;
-  for (const LabelModel& model : models) {
-    const double score = ScoreTokens(model, grams);
+  for (size_t l = 0; l < model.labels.size(); ++l) {
+    const double score = ScoreLabel(model, l, local);
     // Ties break toward the more frequent label, then lexicographically
     // (model order == label map order), for determinism.
     if (score > best_score ||
-        (score == best_score && model.example_count > best_frequency)) {
-      best = model.label;
+        (score == best_score && model.example_counts[l] > best_frequency)) {
+      best = model.labels[l];
       best_score = score;
-      best_frequency = model.example_count;
+      best_frequency = model.example_counts[l];
     }
   }
   return best == nullptr ? "" : *best;
@@ -224,26 +261,9 @@ std::string NaiveBayesClassifier::Classify(const Value& input) const {
 std::string NaiveBayesClassifier::ClassifyCoded(const StringDictionary& dict,
                                                 uint32_t code) const {
   if (labels_.empty() || code == kNullCode) return "";
-  {
-    std::lock_guard<std::mutex> lock(memo_mu_);
-    auto dict_it = classify_memo_.find(&dict);
-    if (dict_it != classify_memo_.end()) {
-      auto it = dict_it->second.find(code);
-      if (it != dict_it->second.end()) {
-        GlobalTokenKernelStats().nb_memo_hits.fetch_add(
-            1, std::memory_order_relaxed);
-        return it->second;
-      }
-    }
-  }
-  // Miss: compute outside the lock (a racing duplicate computes the same
-  // deterministic label), then publish.
   std::vector<GramId>& ids = LocalScratch().ids;
   TokenizeLookup(dict.value(code), &ids);
-  std::string label = ClassifyTokens(ids);
-  std::lock_guard<std::mutex> lock(memo_mu_);
-  classify_memo_[&dict].emplace(code, label);
-  return label;
+  return ClassifyTokens(ids);
 }
 
 std::vector<std::string> NaiveBayesClassifier::Labels() const {

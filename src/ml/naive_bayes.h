@@ -3,19 +3,21 @@
 // values tokenized into 3-grams").
 //
 // Internally the classifier runs on the interned token kernel (text/gram.h):
-// grams are packed uint32 ids (q <= 4) or interned ids (larger q), per-label
-// counts live in hash maps during training, and the first classification
-// finalizes them into contiguous sorted (id, log-probability) arrays with
-// precomputed log-priors and smoothing denominators.  Scores are
-// bit-identical to the original map-of-strings implementation: every log
-// term is the same std::log((count + alpha) / denom) double, summed in the
-// same per-occurrence order.
+// grams are packed uint32 ids (q <= 4) or interned ids (larger q), and
+// per-label counts live in hash maps during training.  All training state
+// is integer counts held in doubles, so a weighted TrainCoded call and a
+// label merge (MergeLabels) leave it exactly as the equivalent row-by-row
+// training would.  The first classification finalizes the counts into a
+// label-major table over the vocabulary: each trained gram gets a dense
+// local index, each label a row of log-probabilities (the last slot is the
+// unseen-gram term), so scoring costs one gram lookup plus one array load
+// per label.  Scores are bit-identical to the original map-of-strings
+// implementation: every log term is the same std::log((count + alpha) /
+// denom) double, summed in the same per-occurrence order.
 //
 // Thread safety: training is single-writer (no concurrent reads), after
-// which any number of threads may classify concurrently — the lazy finalize
-// and the per-distinct-input memo of ClassifyCoded are mutex-guarded, which
-// is what lets TgtClassInfer share one trained tagger across all grid-cell
-// workers.
+// which any number of threads may classify concurrently — the lazy
+// finalize is mutex-guarded.
 
 #ifndef CSM_ML_NAIVE_BAYES_H_
 #define CSM_ML_NAIVE_BAYES_H_
@@ -42,20 +44,23 @@ class NaiveBayesClassifier : public ValueClassifier {
       : q_(q), smoothing_(smoothing) {}
 
   /// Movable (single-threaded by contract: no concurrent access to either
-  /// side during the move); the mutexes of the destination start fresh.
+  /// side during the move); the mutex of the destination starts fresh.
   NaiveBayesClassifier(NaiveBayesClassifier&& other) noexcept;
   NaiveBayesClassifier& operator=(NaiveBayesClassifier&& other) noexcept;
 
   void Train(const Value& input, const std::string& label) override;
   std::string Classify(const Value& input) const override;
 
-  /// Coded fast path: tokenization is memoized per (dictionary, code), and
-  /// ClassifyCoded additionally memoizes the winning label per distinct
-  /// input, so a repeated evidence value pays the log-sum once.
+  /// Coded fast path: reads the dictionary string without boxing and adds
+  /// `count` examples in one weighted update.
   void TrainCoded(const StringDictionary& dict, uint32_t code,
-                  const std::string& label) override;
+                  const std::string& label, size_t count = 1) override;
   std::string ClassifyCoded(const StringDictionary& dict,
                             uint32_t code) const override;
+
+  /// Sums the two labels' example counts, token totals and token counts.
+  bool MergeLabels(const std::string& a, const std::string& b,
+                   const std::string& merged) override;
 
   std::vector<std::string> Labels() const override;
   size_t TrainingSize() const override { return total_examples_; }
@@ -72,14 +77,18 @@ class NaiveBayesClassifier : public ValueClassifier {
     std::unordered_map<GramId, double> token_counts;
   };
 
-  /// Finalized per-label scoring model, in labels_ (lexicographic) order.
-  struct LabelModel {
-    const std::string* label = nullptr;
-    size_t example_count = 0;
-    double log_prior = 0.0;
-    double log_unseen = 0.0;                // log((0 + alpha) / denom)
-    std::vector<GramId> gram_ids;           // sorted
-    std::vector<double> gram_log_prob;      // parallel to gram_ids
+  /// Finalized scoring model, labels in labels_ (lexicographic) order.
+  struct Model {
+    /// The trained vocabulary, sorted; a gram's local index is its rank.
+    std::vector<GramId> vocabulary;
+    std::vector<const std::string*> labels;
+    std::vector<size_t> example_counts;
+    std::vector<double> log_priors;
+    /// Label-major: row l holds vocabulary.size() + 1 terms; the last is
+    /// log((0 + alpha) / denom), the term of a gram label l never saw.
+    std::vector<double> log_probs;
+
+    size_t row_size() const { return vocabulary.size() + 1; }
   };
 
   bool Packed() const { return q_ <= kMaxPackedGramQ; }
@@ -89,16 +98,23 @@ class NaiveBayesClassifier : public ValueClassifier {
   void TokenizeTrain(std::string_view text, std::vector<GramId>* out);
 
   /// Lookup-only tokenization; unseen word-grams map to kNoGramId, which
-  /// ScoreTokens treats as unseen.  Safe for concurrent readers.
+  /// scoring treats as unseen.  Safe for concurrent readers.
   void TokenizeLookup(std::string_view text, std::vector<GramId>* out) const;
 
-  void TrainTokens(const std::vector<GramId>& grams, const std::string& label);
+  void TrainTokens(const std::vector<GramId>& grams, const std::string& label,
+                   size_t count);
 
-  /// Builds models_ on first use after training; thread-safe.
-  const std::vector<LabelModel>& Finalized() const;
+  /// Builds model_ on first use after training; thread-safe.
+  const Model& Finalized() const;
 
-  double ScoreTokens(const LabelModel& model,
-                     const std::vector<GramId>& grams) const;
+  /// Maps grams to local indices (row_size() - 1 when untrained).
+  static void LocalIds(const Model& model, const std::vector<GramId>& grams,
+                       std::vector<uint32_t>* out);
+
+  /// Label `l`'s score: its log-prior plus its term of every gram, summed
+  /// in gram order.
+  static double ScoreLabel(const Model& model, size_t l,
+                           const std::vector<uint32_t>& local);
 
   /// Classify over pre-tokenized input (the shared tie-break loop).
   std::string ClassifyTokens(const std::vector<GramId>& grams) const;
@@ -113,20 +129,10 @@ class NaiveBayesClassifier : public ValueClassifier {
   /// training only).
   std::unique_ptr<TokenInterner> gram_interner_;
 
-  /// Token memo for TrainCoded: (dictionary, code) -> gram ids.  Written
-  /// during single-writer training only.
-  std::unordered_map<const StringDictionary*,
-                     std::unordered_map<uint32_t, std::vector<GramId>>>
-      train_token_memo_;
-
-  // Lazily finalized model + classification memo; see class comment.
+  // Lazily finalized model; see class comment.
   mutable std::mutex model_mu_;
   mutable bool finalized_ = false;  // guarded by model_mu_
-  mutable std::vector<LabelModel> models_;
-  mutable std::mutex memo_mu_;
-  mutable std::unordered_map<const StringDictionary*,
-                             std::unordered_map<uint32_t, std::string>>
-      classify_memo_;  // guarded by memo_mu_
+  mutable Model model_;
 };
 
 }  // namespace csm

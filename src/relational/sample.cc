@@ -7,11 +7,7 @@
 #include "common/logging.h"
 
 namespace csm {
-namespace {
 
-/// Shared index selection: shuffles 0..n-1, clamps the train size, and
-/// returns both sides sorted ascending.  Both split flavors call this so
-/// their row selection is draw-for-draw identical.
 std::pair<PosList, PosList> SplitPositions(size_t n, double train_fraction,
                                            Rng& rng) {
   CSM_CHECK_GE(train_fraction, 0.0);
@@ -36,8 +32,6 @@ std::pair<PosList, PosList> SplitPositions(size_t n, double train_fraction,
   std::sort(test.begin(), test.end());
   return {std::move(train), std::move(test)};
 }
-
-}  // namespace
 
 TrainTestSplit SplitTrainTest(const Table& instance, double train_fraction,
                               Rng& rng) {

@@ -34,6 +34,13 @@ struct TrainTestViewSplit {
   TableView test;
 };
 
+/// The row selection of every split: shuffles 0..n-1, takes
+/// `train_fraction` of them (rounded, at least 1 of each side when n >= 2)
+/// for train, and returns both sides sorted ascending.  The split flavors
+/// below call it, so their row selection is draw-for-draw identical.
+std::pair<PosList, PosList> SplitPositions(size_t n, double train_fraction,
+                                           Rng& rng);
+
 /// Randomly partitions `instance` rows into train/test with `train_fraction`
 /// of rows (rounded, at least 1 of each when the table has >= 2 rows) going
 /// to train.  Deterministic given `rng`.

@@ -67,9 +67,11 @@ void AppendPackedQGrams(std::string_view text, size_t q, std::string* scratch,
   if (!any) return;  // NormalizeText empty -> no grams (QGrams contract)
   scratch->append(q - 1, '#');
 
+  // No reserve: push_back grows geometrically, so appending many texts to
+  // one vector stays linear (an exact reserve per call would reallocate on
+  // every append).
   const char* data = scratch->data();
   const size_t n = scratch->size();
-  out->reserve(out->size() + (n - q + 1));
   // Rolling big-endian pack: keep the low q bytes of a shifting window.
   const GramId mask =
       q == sizeof(GramId) ? ~GramId{0} : ((GramId{1} << (8 * q)) - 1);

@@ -302,6 +302,47 @@ TEST(TgtTagClassifierTest, DistinctTagsSeparateLabels) {
   EXPECT_EQ(classifier.Classify(S(MakeUpc(rng).c_str())), "cd");
 }
 
+TEST(MemoizedTaggerTest, MemoizesPerDistinctValue) {
+  StringDictionary dict;
+  auto nb = std::make_unique<NaiveBayesClassifier>(3);
+  nb->TrainCoded(dict, dict.GetOrAdd("aaa"), "a");
+  nb->TrainCoded(dict, dict.GetOrAdd("zzz"), "z");
+  const uint32_t probe = dict.GetOrAdd("aab");
+  const std::string expected = nb->ClassifyCoded(dict, probe);
+  const MemoizedTagger tagger(std::move(nb));
+  EXPECT_EQ(tagger.ClassifyCoded(dict, probe), expected);
+  const uint64_t hits_before =
+      GlobalTokenKernelStats().nb_memo_hits.load(std::memory_order_relaxed);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(tagger.ClassifyCoded(dict, probe), expected);
+  }
+  const uint64_t hits_after =
+      GlobalTokenKernelStats().nb_memo_hits.load(std::memory_order_relaxed);
+  EXPECT_GE(hits_after - hits_before, 10u);
+  EXPECT_EQ(tagger.Labels(), (std::vector<std::string>{"a", "z"}));
+}
+
+TEST(TgtTagClassifierTest, MergeLabelsEqualsRetraining) {
+  auto tagger = std::make_shared<NaiveBayesClassifier>(3);
+  tagger->Train(S("alpha beta"), "T.a");
+  tagger->Train(S("12345"), "T.n");
+  const std::vector<std::pair<const char*, std::string>> rows = {
+      {"alpha", "x"}, {"beta", "y"}, {"123", "y"}, {"999", "z"}, {"gamma", "z"}};
+  TgtTagClassifier merged(tagger), retrained(tagger);
+  for (const auto& [text, label] : rows) {
+    merged.Train(S(text), label);
+    retrained.Train(S(text), label == "y" || label == "z" ? "y\x1fz" : label);
+  }
+  ASSERT_TRUE(merged.MergeLabels("y", "z", "y\x1fz"));
+  EXPECT_EQ(merged.Labels(), retrained.Labels());
+  for (const std::string tag : {"T.a", "T.n", "unseen"}) {
+    EXPECT_EQ(merged.BestCat(tag), retrained.BestCat(tag));
+    for (const std::string& label : retrained.Labels()) {
+      EXPECT_EQ(merged.Score(tag, label), retrained.Score(tag, label));
+    }
+  }
+}
+
 TEST(CreateTargetClassifierTest, TrainsOnMatchingTypeOnly) {
   Database target("tgt");
   target.AddTable(MakeTable("books", {"title", "cost"},

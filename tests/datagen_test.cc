@@ -293,7 +293,7 @@ TEST(GradesGenTest, ExamNumIsTheOnlyCategoricalAttribute) {
   GradesOptions options;
   options.seed = 14;
   GradesDataset data = MakeGradesDataset(options);
-  EXPECT_EQ(CategoricalAttributes(data.source.GetTable("grades_narrow")),
+  EXPECT_EQ(SplitCategorical(data.source.GetTable("grades_narrow")).categorical,
             (std::vector<std::string>{"examNum"}));
 }
 

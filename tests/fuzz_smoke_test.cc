@@ -67,6 +67,16 @@ TEST(FuzzSmokeTest, CodedSampleEquivalence) {
   EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
+TEST(FuzzSmokeTest, CategoricalEquivalence) {
+  const Status status = check::FuzzCategoricalEquivalence(Options(60));
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
+TEST(FuzzSmokeTest, ContingencyNbEquivalence) {
+  const Status status = check::FuzzContingencyNbEquivalence(Options(150));
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
 TEST(FuzzSmokeTest, DifferentialOracles) {
   const Status status = check::FuzzDifferential(Options(10));
   EXPECT_TRUE(status.ok()) << status.ToString();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/random.h"
 #include "ml/evaluation.h"
 #include "ml/gaussian_classifier.h"
@@ -115,21 +117,29 @@ TEST(NaiveBayesTest, CodedPathMatchesBoxedPath) {
   EXPECT_EQ(coded.ClassifyCoded(dict, kNullCode), "");
 }
 
-TEST(NaiveBayesTest, ClassifyCodedMemoizesPerDistinctValue) {
+TEST(NaiveBayesTest, WeightedTrainingAndMergeEqualRowTraining) {
   StringDictionary dict;
-  NaiveBayesClassifier nb(3);
-  nb.TrainCoded(dict, dict.GetOrAdd("aaa"), "a");
-  nb.TrainCoded(dict, dict.GetOrAdd("zzz"), "z");
-  const uint32_t probe = dict.GetOrAdd("aab");
-  const std::string first = nb.ClassifyCoded(dict, probe);
-  const uint64_t hits_before =
-      GlobalTokenKernelStats().nb_memo_hits.load(std::memory_order_relaxed);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(nb.ClassifyCoded(dict, probe), first);
+  const char* texts[] = {"the silent river", "velvet thunder", "the lost king"};
+  const char* labels[] = {"book", "cd", "dvd"};
+  const size_t counts[] = {3, 2, 4};
+  NaiveBayesClassifier counted(3), rows(3);
+  for (size_t i = 0; i < 3; ++i) {
+    counted.TrainCoded(dict, dict.GetOrAdd(texts[i]), labels[i], counts[i]);
+    // Row by row, with the cd and dvd examples already merged.
+    const std::string merged = i == 0 ? "book" : "cd\x1f" "dvd";
+    for (size_t c = 0; c < counts[i]; ++c) rows.Train(Value::String(texts[i]), merged);
   }
-  const uint64_t hits_after =
-      GlobalTokenKernelStats().nb_memo_hits.load(std::memory_order_relaxed);
-  EXPECT_GE(hits_after - hits_before, 10u);
+  ASSERT_TRUE(counted.MergeLabels("cd", "dvd", "cd\x1f" "dvd"));
+  EXPECT_EQ(counted.Labels(), rows.Labels());
+  EXPECT_EQ(counted.TrainingSize(), rows.TrainingSize());
+  for (const char* probe : {"the silent king", "velvet", "zzz"}) {
+    for (const std::string& label : rows.Labels()) {
+      const double a = counted.LogScore(Value::String(probe), label);
+      const double b = rows.LogScore(Value::String(probe), label);
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof(a)), 0) << probe << " " << label;
+    }
+    EXPECT_EQ(counted.Classify(Value::String(probe)), rows.Classify(Value::String(probe)));
+  }
 }
 
 TEST(NaiveBayesTest, TrainingAfterClassifyInvalidatesMemo) {

@@ -290,6 +290,19 @@ TEST(TracedMatchTest, SpansCoverTheRunAndNestUnderRoot) {
   EXPECT_GE(result.phases.Count("scoring.coded_attributes"), 1u);
   EXPECT_GE(result.phases.Count("scoring.coded_values"), 1u);
 
+  // The categorical split before the grid has its own span directly under
+  // an inference phase, and the grid counts its classifier training calls.
+  size_t categorical_spans = 0;
+  for (const auto& s : spans) {
+    if (s.name != "inference.categorical") continue;
+    ++categorical_spans;
+    const obs::SpanRecord* p = by_id[s.parent];
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p->name, "inference");
+  }
+  EXPECT_GE(categorical_spans, 1u);
+  EXPECT_GE(result.phases.Count("inference.train_pairs"), 1u);
+
   // The same run's metrics landed in the result's PhaseReport; encoding
   // adds no per-view observations.
   EXPECT_EQ(result.phases.Histogram("scoring.view_seconds").count,

@@ -472,9 +472,11 @@ TEST(CategoricalTest, MostlyUniqueWithFewRepeatsNotCategorical) {
 
 TEST(CategoricalTest, PartitionHelpers) {
   Table t = CategoricalFixture(50, 3, 0);
-  EXPECT_EQ(CategoricalAttributes(t), (std::vector<std::string>{"label"}));
-  EXPECT_EQ(NonCategoricalAttributes(t),
-            (std::vector<std::string>{"unique"}));
+  const CategoricalSplit split = SplitCategorical(t);
+  EXPECT_EQ(split.categorical, (std::vector<std::string>{"label"}));
+  EXPECT_EQ(split.non_categorical, (std::vector<std::string>{"unique"}));
+  ASSERT_EQ(split.categorical_counts.size(), 1u);
+  EXPECT_EQ(split.categorical_counts[0], t.ValueCounts("label"));
 }
 
 TEST(CategoricalTest, IntLabelsWork) {

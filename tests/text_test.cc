@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "text/gram.h"
@@ -274,6 +275,23 @@ TEST(GramKernelTest, EmptyAndSeparatorOnlyTextsProduceNoGrams) {
   EXPECT_TRUE(ids.empty());
   AppendPackedQGrams("?!,", 3, &scratch, &ids);
   EXPECT_TRUE(ids.empty());
+}
+
+TEST(GramKernelTest, AppendingManyTextsReallocatesLogarithmically) {
+  std::string scratch;
+  std::vector<GramId> ids;
+  size_t reallocations = 0;
+  size_t capacity = ids.capacity();
+  for (int i = 0; i < 10000; ++i) {
+    AppendPackedQGrams("item " + std::to_string(i), 3, &scratch, &ids);
+    if (ids.capacity() != capacity) {
+      ++reallocations;
+      capacity = ids.capacity();
+    }
+  }
+  ASSERT_GT(ids.size(), 10000u);
+  // Geometric growth changes capacity O(log n) times.
+  EXPECT_LE(reallocations, 2 * std::bit_width(ids.size()));
 }
 
 TEST(GramKernelTest, MultiByteUtf8ActsAsSeparator) {
