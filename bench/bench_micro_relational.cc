@@ -12,7 +12,7 @@
 //                      TableView::ToTable column gather
 //   feature_extract    the ClusteredViewGen (label, evidence) pair walk
 //                      over boxed rows vs the dictionary-code reads of
-//                      RunCycle's coded fast path
+//                      a grid cell's counting pass (CountedCell)
 //
 // The headline metric is scan_score (condition scan + per-attribute bag
 // reads — the candidate-view evaluation inner loop of MatchEngine
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
       }
       return n;
     });
-    // Mirrors ClusteredViewGen::RunCycle's coded fast path: string columns
+    // Mirrors the coded reads of CountedCell's counting pass: string columns
     // read dictionary codes (kNullCode == NULL) and resolve the label text
     // through the dictionary; non-string columns fall back to boxed reads.
     g.feat_col = TimeBest(reps, &sink, [&] {

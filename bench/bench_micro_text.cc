@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
   const size_t name_col = table.schema().AttributeIndex("name");
   const size_t exam_col = table.schema().AttributeIndex("examNum");
 
-  // The RunCycle evidence stream: rendered name + exam-group label per
+  // One grid cell's evidence stream: rendered name + exam-group label per
   // non-null row, plus the aligned dictionary codes for the coded paths.
   const Column& name_column = table.column(name_col);
   const StringDictionary& dict = name_column.dictionary();

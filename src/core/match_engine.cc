@@ -9,6 +9,7 @@
 #include "check/invariants.h"
 #include "common/fault_injector.h"
 #include "common/logging.h"
+#include "core/session_store.h"
 #include "exec/parallel.h"
 #include "exec/task_rng.h"
 #include "match/attribute_codes.h"
@@ -301,86 +302,12 @@ MatchEngine::SessionLookup MatchEngine::LookupSessions(
     registry->AddCounter("engine.session_cache_evictions");
   }
 
-  // Cold tier: on a hot miss, try to restore the sessions from the attached
-  // store before paying for a build.  The cold key folds in the options
-  // fingerprint (the hot key need not: one engine has one options value)
-  // and a format-version constant so stale blobs never cross a change.
-  uint64_t cold_key = 0;
-  if (cold_store_ != nullptr) {
-    cold_key = MixFingerprint(0x636f6c642d763101ULL, key.first);  // "cold-v1"
-    cold_key = MixFingerprint(cold_key, key.second);
-    cold_key = MixFingerprint(cold_key, FingerprintMatchOptions(options_.match));
-  }
-  const auto& tables = source.tables();
-  if (cold_store_ != nullptr) {
-    std::string blob;
-    if (cold_store_->Load(cold_key, &blob)) {
-      auto parsed = ParseSessionScores(blob, source);
-      bool usable = parsed.ok();
-      if (usable) {
-        // Validate dimensions before constructing: the restore constructor
-        // CHECK-fails on a mismatch, and a cold blob is untrusted input.
-        const size_t matchers = DefaultMatcherSuite().size();
-        size_t target_attrs = 0;
-        for (const Table& t : target.tables()) {
-          target_attrs += t.schema().num_attributes();
-        }
-        for (size_t i = 0; i < tables.size() && usable; ++i) {
-          const auto& raw = parsed.value()[i].raw;
-          if (raw.size() != matchers) usable = false;
-          for (const auto& per_source : raw) {
-            if (per_source.size() != tables[i].schema().num_attributes()) {
-              usable = false;
-              break;
-            }
-            for (const auto& per_target : per_source) {
-              if (per_target.size() != target_attrs) {
-                usable = false;
-                break;
-              }
-            }
-            if (!usable) break;
-          }
-        }
-      }
-      if (usable) {
-        // Restore serially (cheap: no scoring loop), honoring the same
-        // cancellation and fault-injection surface as a build so degraded
-        // runs behave identically whichever tier answers.
-        SessionCacheEntry entry;
-        size_t restored = 0;
-        for (size_t i = 0; i < tables.size(); ++i) {
-          if (cancel != nullptr && cancel->cancelled()) break;
-          if (FaultInjector::Hit("standard.session", i)) break;
-          auto session = std::make_unique<TableMatchSession>(
-              tables[i], target, DefaultMatcherSuite(), options_.match,
-              std::move(parsed.value()[i]));
-          entry.accepted.push_back(session->AcceptedMatches(options_.tau));
-          entry.sessions.push_back(std::move(session));
-          ++restored;
-        }
-        if (restored == tables.size()) {
-          ++cold_hits_;
-          registry->AddCounter("engine.session_cold_hits");
-          entry.last_used = ++cache_tick_;
-          return SessionLookup{
-              &session_cache_.emplace(key, std::move(entry)).first->second,
-              restored};
-        }
-        // Cancelled / fault-injected mid-restore: same contract as a
-        // partial build — usable prefix for this call, never cached.
-        partial_sessions_ = std::move(entry);
-        return SessionLookup{&partial_sessions_, restored};
-      }
-      registry->AddCounter("engine.session_cold_invalid");
-    }
-  }
-
   // Build per-table sessions concurrently in fixed chunks of kSessionChunk
   // tables; `cancel` is consulted only between chunks, so a degraded build
   // yields a whole-chunk table prefix.  Session construction and
   // AcceptedMatches draw no random numbers, and results land in table
   // order, so warm-cache runs are bit-identical to cold ones.
+  const auto& tables = source.tables();
   obs::Tracer* tracer = tracer_;
   struct Built {
     std::unique_ptr<TableMatchSession> session;
@@ -417,14 +344,6 @@ MatchEngine::SessionLookup MatchEngine::LookupSessions(
     entry.accepted.push_back(std::move(built[i].accepted));
   }
   if (valid == tables.size()) {
-    // Offer every complete fresh build to the cold tier (a cold hit never
-    // re-stores: the blob it read is already the one it would write).
-    if (cold_store_ != nullptr) {
-      if (cold_store_->Store(cold_key, SerializeSessionScores(entry.sessions))) {
-        ++cold_stores_;
-        registry->AddCounter("engine.session_cold_stores");
-      }
-    }
     entry.last_used = ++cache_tick_;
     return SessionLookup{
         &session_cache_.emplace(key, std::move(entry)).first->second, valid};

@@ -52,7 +52,6 @@
 #include "common/cancellation.h"
 #include "core/context_match.h"
 #include "core/match_request.h"
-#include "core/session_store.h"
 #include "exec/thread_pool.h"
 #include "match/session.h"
 #include "obs/hooks.h"
@@ -95,14 +94,6 @@ class MatchEngine {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
 
-  /// Attaches a cold session tier (core/session_store.h): on a hot-cache
-  /// miss the engine tries to restore the phase-1 sessions from the store
-  /// (promoting a hit into the hot LRU) and offers every full build back to
-  /// it.  Restored sessions are bit-identical to built ones, so results do
-  /// not depend on which tier answered (service_test enforces this).  The
-  /// store must outlive the engine or be detached first; null detaches.
-  void set_cold_store(SessionColdStore* store) { cold_store_ = store; }
-
   const ContextMatchOptions& options() const { return options_; }
   /// Resolved worker count (options.threads with 0 = hardware concurrency).
   size_t threads() const { return threads_; }
@@ -113,10 +104,6 @@ class MatchEngine {
   uint64_t session_cache_hits() const { return cache_hits_; }
   uint64_t session_cache_misses() const { return cache_misses_; }
   uint64_t session_cache_evictions() const { return cache_evictions_; }
-  /// Cold-tier introspection ("engine.session_cold_hits" /
-  /// "engine.session_cold_stores" / "engine.session_cold_invalid" counters).
-  uint64_t session_cold_hits() const { return cold_hits_; }
-  uint64_t session_cold_stores() const { return cold_stores_; }
   void ClearSessionCache() { session_cache_.clear(); }
 
  private:
@@ -161,9 +148,6 @@ class MatchEngine {
   std::unique_ptr<exec::ThreadPool> pool_;  // null when threads_ == 1
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
-  SessionColdStore* cold_store_ = nullptr;
-  uint64_t cold_hits_ = 0;
-  uint64_t cold_stores_ = 0;
 
   std::map<std::pair<uint64_t, uint64_t>, SessionCacheEntry> session_cache_;
   uint64_t cache_hits_ = 0;

@@ -1,7 +1,6 @@
 #include "core/session_store.h"
 
-#include <bit>
-#include <cstdio>
+#include <string>
 
 namespace csm {
 namespace {
@@ -11,8 +10,6 @@ uint64_t HashString(uint64_t h, const std::string& s) {
   for (char c : s) h = MixFingerprint(h, static_cast<unsigned char>(c));
   return h;
 }
-
-constexpr char kBlobMagic[] = "csm-sessions 1";
 
 }  // namespace
 
@@ -39,78 +36,6 @@ uint64_t FingerprintDatabase(const Database& db) {
     }
   }
   return h;
-}
-
-uint64_t FingerprintMatchOptions(const MatchOptions& options) {
-  uint64_t h = 0x6d617463686f7074ULL;  // "matchopt"
-  h = MixFingerprint(h, std::bit_cast<uint64_t>(options.min_score_stddev));
-  h = MixFingerprint(h, options.min_non_null_values);
-  h = MixFingerprint(h, options.blend_raw_score ? 1 : 0);
-  // The training cap changes the bags a session trains on, so cold blobs
-  // recorded under a different cap or sample seed must never restore.
-  h = MixFingerprint(h, options.max_training_rows);
-  h = MixFingerprint(h, options.training_sample_seed);
-  return h;
-}
-
-std::string SerializeSessionScores(
-    const std::vector<std::unique_ptr<TableMatchSession>>& sessions) {
-  std::string blob = kBlobMagic;
-  blob.push_back('\n');
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "tables %zu\n", sessions.size());
-  blob.append(buf);
-  for (const auto& session : sessions) {
-    blob.append("table ");
-    blob.append(session->source_table());
-    blob.push_back('\n');
-    session->AppendSerializedScores(&blob);
-  }
-  return blob;
-}
-
-StatusOr<std::vector<TableMatchSession::RestoredScores>> ParseSessionScores(
-    const std::string& blob, const Database& source) {
-  auto fail = [](const char* msg) {
-    return Status::InvalidArgument(std::string("session blob: ") + msg);
-  };
-  size_t pos = 0;
-  auto read_line = [&](std::string* line) {
-    if (pos >= blob.size()) return false;
-    size_t end = blob.find('\n', pos);
-    if (end == std::string::npos) return false;
-    *line = blob.substr(pos, end - pos);
-    pos = end + 1;
-    return true;
-  };
-
-  std::string line;
-  if (!read_line(&line) || line != kBlobMagic) {
-    return fail("bad magic / version");
-  }
-  size_t tables = 0;
-  if (!read_line(&line) ||
-      std::sscanf(line.c_str(), "tables %zu", &tables) != 1) {
-    return fail("bad table count");
-  }
-  if (tables != source.tables().size()) {
-    return fail("table count does not match the source database");
-  }
-
-  std::vector<TableMatchSession::RestoredScores> out;
-  out.reserve(tables);
-  for (size_t i = 0; i < tables; ++i) {
-    if (!read_line(&line) || line.rfind("table ", 0) != 0) {
-      return fail("missing table header");
-    }
-    if (line.substr(6) != source.tables()[i].name()) {
-      return fail("table name does not match the source database");
-    }
-    auto scores = TableMatchSession::ParseSerializedScores(blob, &pos);
-    if (!scores.ok()) return scores.status();
-    out.push_back(std::move(scores).value());
-  }
-  return out;
 }
 
 }  // namespace csm

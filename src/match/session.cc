@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <string_view>
 
@@ -19,13 +17,17 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 }  // namespace
 
-void TableMatchSession::BuildSamples(const Table& source,
-                                     const Database& target) {
+TableMatchSession::TableMatchSession(
+    const Table& source, const Database& target,
+    std::vector<std::unique_ptr<AttributeMatcher>> matchers,
+    MatchOptions options)
+    : source_table_(source.name()),
+      options_(options),
+      matchers_(std::move(matchers)) {
+  CSM_CHECK(!matchers_.empty()) << "match session needs at least one matcher";
   // Training cap: bags come from a deterministic per-table row sample when
   // the table is larger than max_training_rows.  The draw depends only on
-  // (options, table name, row count), so the restore constructor — which
-  // calls BuildSamples with the same tables and options — reproduces the
-  // exact bags the scoring constructor trained on.
+  // (options, table name, row count).
   auto capped = [&](const Table& table) -> Table {
     Rng rng(DeriveTableSampleSeed(options_.training_sample_seed, table.name()));
     return ReservoirSampleRows(table, options_.max_training_rows, rng);
@@ -52,32 +54,6 @@ void TableMatchSession::BuildSamples(const Table& source,
   target_ptrs.reserve(target_samples_.size());
   for (const auto& sample : target_samples_) target_ptrs.push_back(&sample);
   for (auto& matcher : matchers_) matcher->Prepare(target_ptrs);
-}
-
-void TableMatchSession::ReplayDistributions() {
-  for (size_t m = 0; m < matchers_.size(); ++m) {
-    for (size_t s = 0; s < source_samples_.size(); ++s) {
-      DescriptiveStats distribution;
-      for (size_t t = 0; t < target_samples_.size(); ++t) {
-        double score = raw_scores_[m][s][t];
-        if (!std::isnan(score)) distribution.Add(score);
-      }
-      if (!distribution.empty()) {
-        distributions_[DistributionKey{m, s}] = distribution;
-      }
-    }
-  }
-}
-
-TableMatchSession::TableMatchSession(
-    const Table& source, const Database& target,
-    std::vector<std::unique_ptr<AttributeMatcher>> matchers,
-    MatchOptions options)
-    : source_table_(source.name()),
-      options_(options),
-      matchers_(std::move(matchers)) {
-  CSM_CHECK(!matchers_.empty()) << "match session needs at least one matcher";
-  BuildSamples(source, target);
 
   // Score every applicable (matcher, source, target) triple and record the
   // per-(matcher, source) score distribution across targets.
@@ -109,31 +85,6 @@ TableMatchSession::TableMatchSession(
       }
     }
   }
-}
-
-TableMatchSession::TableMatchSession(
-    const Table& source, const Database& target,
-    std::vector<std::unique_ptr<AttributeMatcher>> matchers,
-    const MatchOptions& options, RestoredScores scores)
-    : source_table_(source.name()),
-      options_(options),
-      matchers_(std::move(matchers)) {
-  CSM_CHECK(!matchers_.empty()) << "match session needs at least one matcher";
-  BuildSamples(source, target);
-
-  CSM_CHECK(scores.raw.size() == matchers_.size())
-      << "restored scores have " << scores.raw.size() << " matchers, suite has "
-      << matchers_.size();
-  for (const auto& per_source : scores.raw) {
-    CSM_CHECK(per_source.size() == source_samples_.size())
-        << "restored scores do not fit the source schema";
-    for (const auto& per_target : per_source) {
-      CSM_CHECK(per_target.size() == target_samples_.size())
-          << "restored scores do not fit the target schema";
-    }
-  }
-  raw_scores_ = std::move(scores.raw);
-  ReplayDistributions();
 }
 
 double TableMatchSession::Confidence(size_t matcher_index,
@@ -274,83 +225,6 @@ std::vector<std::string> TableMatchSession::source_attributes() const {
   out.reserve(source_samples_.size());
   for (const auto& sample : source_samples_) {
     out.push_back(sample.ref().attribute);
-  }
-  return out;
-}
-
-void TableMatchSession::AppendSerializedScores(std::string* out) const {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "scores %zu %zu %zu\n", matchers_.size(),
-                source_samples_.size(), target_samples_.size());
-  out->append(buf);
-  for (const auto& per_source : raw_scores_) {
-    for (const auto& per_target : per_source) {
-      for (size_t t = 0; t < per_target.size(); ++t) {
-        if (t > 0) out->push_back(' ');
-        double v = per_target[t];
-        if (std::isnan(v)) {
-          out->append("nan");
-        } else {
-          // Hexfloat: exact round-trip through strtod, no rounding.
-          std::snprintf(buf, sizeof(buf), "%a", v);
-          out->append(buf);
-        }
-      }
-      out->push_back('\n');
-    }
-  }
-}
-
-StatusOr<TableMatchSession::RestoredScores>
-TableMatchSession::ParseSerializedScores(const std::string& blob,
-                                         size_t* pos) {
-  auto fail = [](const char* msg) {
-    return Status::InvalidArgument(std::string("session scores: ") + msg);
-  };
-  auto read_line = [&](std::string_view* line) {
-    if (*pos >= blob.size()) return false;
-    size_t end = blob.find('\n', *pos);
-    if (end == std::string::npos) return false;
-    *line = std::string_view(blob).substr(*pos, end - *pos);
-    *pos = end + 1;
-    return true;
-  };
-
-  std::string_view header;
-  if (!read_line(&header)) return fail("missing header line");
-  size_t matchers = 0, sources = 0, targets = 0;
-  if (std::sscanf(std::string(header).c_str(), "scores %zu %zu %zu",
-                  &matchers, &sources, &targets) != 3) {
-    return fail("bad header line");
-  }
-  // A corrupted header must not drive allocation: the score grid of a real
-  // session is matchers x attributes x attributes, far below these caps.
-  constexpr size_t kMaxDim = 1u << 20;
-  if (matchers == 0 || matchers > kMaxDim || sources > kMaxDim ||
-      targets > kMaxDim) {
-    return fail("implausible dimensions");
-  }
-
-  RestoredScores out;
-  out.raw.assign(matchers, {});
-  for (size_t m = 0; m < matchers; ++m) {
-    out.raw[m].assign(sources, std::vector<double>(targets, kNaN));
-    for (size_t s = 0; s < sources; ++s) {
-      std::string_view line;
-      if (!read_line(&line)) return fail("truncated score matrix");
-      std::string row(line);  // NUL-terminated scratch for strtod
-      const char* cursor = row.c_str();
-      for (size_t t = 0; t < targets; ++t) {
-        char* after = nullptr;
-        double v = std::strtod(cursor, &after);
-        if (after == cursor) return fail("short score row");
-        out.raw[m][s][t] = v;
-        cursor = after;
-      }
-      // The row must be fully consumed (trailing whitespace only).
-      while (*cursor == ' ') ++cursor;
-      if (*cursor != '\0') return fail("long score row");
-    }
   }
   return out;
 }

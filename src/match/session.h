@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "match/match_types.h"
 #include "match/matcher.h"
 #include "relational/table.h"
@@ -46,8 +45,7 @@ struct MatchOptions {
   /// training_sample_seed, table name)), so session construction cost is
   /// bounded by the cap, not by table size — the paper's matchers train on
   /// *samples* of instance data, and this knob is what keeps that true at
-  /// 10^6+ rows.  The restore path rebuilds the identical sample, so cold-
-  /// tier round trips stay bit-exact.
+  /// 10^6+ rows.
   size_t max_training_rows = 0;
   /// Seed for the per-table training-sample draws; folded with each table
   /// name so every table samples an independent reproducible stream.
@@ -64,51 +62,12 @@ struct MatchScore {
 
 class TableMatchSession {
  public:
-  /// The raw score matrix of a previously built session, parsed back from
-  /// its serialized form: raw[m][s][t] is matcher m's score of source
-  /// attribute s against target attribute t, NaN where inapplicable.  See
-  /// AppendSerializedScores / the restore constructor below.
-  struct RestoredScores {
-    std::vector<std::vector<std::vector<double>>> raw;
-  };
-
   /// Runs the matcher suite for `source` against every table of `target`.
   /// The session keeps references into neither table; it copies the value
   /// bags it needs.  `matchers` is owned by the session.
   TableMatchSession(const Table& source, const Database& target,
                     std::vector<std::unique_ptr<AttributeMatcher>> matchers,
                     MatchOptions options = {});
-
-  /// Restore path for the engine's cold session tier: builds the attribute
-  /// samples from the tables exactly like the scoring constructor, but
-  /// installs `scores.raw` instead of running the matcher scoring loop and
-  /// replays the per-(matcher, source attribute) score distributions from
-  /// it in the same order the scoring loop recorded them — so a restored
-  /// session is bit-identical to the one that produced the scores, given
-  /// content-equal tables, the same matcher suite and the same options.
-  /// CHECK-fails when the score dimensions do not fit (callers validate via
-  /// the parse step first).
-  TableMatchSession(const Table& source, const Database& target,
-                    std::vector<std::unique_ptr<AttributeMatcher>> matchers,
-                    const MatchOptions& options, RestoredScores scores);
-
-  /// Appends the raw score matrix to `out` as deterministic text: a header
-  /// line "scores <matchers> <sources> <targets>" followed by one line per
-  /// (matcher, source) with hexfloat scores ("nan" where inapplicable).
-  /// Hexfloat round-trips doubles exactly, so serialize -> parse -> restore
-  /// reproduces the session bit-for-bit.  The samples and distributions are
-  /// deliberately NOT serialized: samples are rebuilt from the request's
-  /// tables (content-equal by fingerprint) and distributions replay from
-  /// the scores, which keeps the cold-tier blob proportional to the score
-  /// grid rather than the data.
-  void AppendSerializedScores(std::string* out) const;
-
-  /// Parses what AppendSerializedScores wrote, consuming the header and
-  /// score lines from `pos` (advanced past them).  Dimension/format errors
-  /// return non-OK and leave the blob unusable (callers fall back to a
-  /// fresh build).
-  static StatusOr<RestoredScores> ParseSerializedScores(
-      const std::string& blob, size_t* pos);
 
   /// The standard matches with confidence >= tau, best-confidence first.
   MatchList AcceptedMatches(double tau) const;
@@ -160,16 +119,6 @@ class TableMatchSession {
       return a.source_index < b.source_index;
     }
   };
-
-  /// Shared constructor prologue: attribute samples for every source and
-  /// target attribute, then matcher Prepare over the target samples.
-  void BuildSamples(const Table& source, const Database& target);
-
-  /// Rebuilds distributions_ from raw_scores_ by adding the non-NaN scores
-  /// of each (matcher, source) row in target order — the exact sequence of
-  /// DescriptiveStats::Add calls the scoring loop performs, so the replayed
-  /// accumulators are bit-identical to the originals.
-  void ReplayDistributions();
 
   /// Converts a raw score into a confidence using the stored distribution
   /// for (matcher, source attribute).

@@ -33,19 +33,6 @@ std::pair<PosList, PosList> SplitPositions(size_t n, double train_fraction,
   return {std::move(train), std::move(test)};
 }
 
-TrainTestSplit SplitTrainTest(const Table& instance, double train_fraction,
-                              Rng& rng) {
-  auto [train, test] = SplitPositions(instance.num_rows(), train_fraction, rng);
-  return TrainTestSplit{instance.SelectRows(train), instance.SelectRows(test)};
-}
-
-TrainTestViewSplit SplitTrainTestView(const TableView& instance,
-                                      double train_fraction, Rng& rng) {
-  auto [train, test] = SplitPositions(instance.num_rows(), train_fraction, rng);
-  return TrainTestViewSplit{instance.Select(std::move(train)),
-                            instance.Select(std::move(test))};
-}
-
 PosList SampleRowPositions(size_t num_rows, size_t sample_size, Rng& rng) {
   // PosList entries are 32-bit; Table::AddRow enforces the same bound.
   CSM_CHECK_LE(num_rows, static_cast<size_t>(RowId{0} - 1) + 1);
@@ -85,7 +72,7 @@ Table ReservoirSampleRows(const Table& instance, size_t sample_size,
 
 uint64_t DeriveTableSampleSeed(uint64_t seed, std::string_view table_name) {
   // FNV-1a over the name, folded into the caller's seed; stable across
-  // platforms so cold-tier restores rebuild the identical sample.
+  // platforms so every run draws the identical sample.
   uint64_t h = seed ^ 0xcbf29ce484222325ULL;
   for (char c : table_name) {
     h ^= static_cast<unsigned char>(c);

@@ -1,4 +1,4 @@
-// Sampling helpers: random train/test partitioning of a table's rows (used
+// Sampling helpers: random train/test partitioning of row positions (used
 // by ClusteredViewGen's doTraining/doTesting) and uniform subsampling (used
 // by session training caps and the sample-size experiments).
 //
@@ -16,41 +16,15 @@
 
 #include "common/random.h"
 #include "relational/table.h"
-#include "relational/table_view.h"
 
 namespace csm {
 
-/// A train/test split of one table's rows.
-struct TrainTestSplit {
-  Table train;
-  Table test;
-};
-
-/// A zero-copy train/test split: two position-list views over the same base
-/// table.  Row selection is identical to SplitTrainTest for the same rng
-/// state (same shuffle sequence, same clamping, same ascending order).
-struct TrainTestViewSplit {
-  TableView train;
-  TableView test;
-};
-
-/// The row selection of every split: shuffles 0..n-1, takes
-/// `train_fraction` of them (rounded, at least 1 of each side when n >= 2)
-/// for train, and returns both sides sorted ascending.  The split flavors
-/// below call it, so their row selection is draw-for-draw identical.
+/// Randomly partitions the positions 0..n-1 into train/test: shuffles them,
+/// takes `train_fraction` of them (rounded, at least 1 of each side when
+/// n >= 2) for train, and returns both sides sorted ascending.
+/// Deterministic given `rng`.
 std::pair<PosList, PosList> SplitPositions(size_t n, double train_fraction,
                                            Rng& rng);
-
-/// Randomly partitions `instance` rows into train/test with `train_fraction`
-/// of rows (rounded, at least 1 of each when the table has >= 2 rows) going
-/// to train.  Deterministic given `rng`.
-TrainTestSplit SplitTrainTest(const Table& instance, double train_fraction,
-                              Rng& rng);
-
-/// View-based variant of SplitTrainTest: no rows are copied.  `instance`'s
-/// base table must outlive the returned views.
-TrainTestViewSplit SplitTrainTestView(const TableView& instance,
-                                      double train_fraction, Rng& rng);
 
 /// Uniformly samples `sample_size` distinct row positions from
 /// [0, num_rows), returned ascending.  Floyd's algorithm: exactly
@@ -71,7 +45,7 @@ Table ReservoirSampleRows(const Table& instance, size_t sample_size, Rng& rng);
 /// Deterministic per-table seed for training-sample draws: folds
 /// `table_name` into `seed` so every table of a database samples from an
 /// independent but reproducible stream (used by TableMatchSession's
-/// max_training_rows cap; restore paths rebuild the identical sample).
+/// max_training_rows cap).
 uint64_t DeriveTableSampleSeed(uint64_t seed, std::string_view table_name);
 
 }  // namespace csm

@@ -125,6 +125,11 @@ bool operator<(const Value& a, const Value& b) {
   if (na && nb) {
     double da = a.AsNumeric();
     double db = b.AsNumeric();
+    // NaN sorts after every other numeric and is equivalent only to NaN;
+    // comparing it with `<` would make it equivalent to every number.
+    const bool nan_a = std::isnan(da);
+    const bool nan_b = std::isnan(db);
+    if (nan_a || nan_b) return nan_b && !nan_a;
     if (da != db) return da < db;
     // Numerically equal but maybe different types: int < real for stability.
     return ta < tb;

@@ -32,9 +32,9 @@ const char* ValueTypeToString(ValueType type);
 
 /// A scalar cell value: NULL, 64-bit integer, double, or string.
 ///
-/// Values order NULL < ints/reals (numerically, cross-type) < strings
-/// (lexicographic), which gives a deterministic total order usable as a map
-/// key.  Equality is exact (an int never equals a real, so bags keyed by
+/// Values order NULL < ints/reals (numerically, cross-type, NaN last) <
+/// strings (lexicographic), which gives a deterministic total order usable
+/// as a map key.  Equality is exact (an int never equals a real, so bags keyed by
 /// Value stay type-stable).
 class Value {
  public:

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/fault_injector.h"
+#include "core/session_store.h"
 
 namespace csm {
 namespace {
@@ -28,7 +29,6 @@ std::string HealthSnapshot::ToString() const {
   std::ostringstream out;
   out << (accepting ? "accepting" : "unavailable") << " queue=" << queue_depth
       << "/" << max_queue << " expired=" << expired_in_queue;
-  if (cold_tier_attached) out << " cold_quarantined=" << cold_tier_quarantined;
   return out.str();
 }
 
@@ -38,10 +38,7 @@ std::string HealthSnapshot::ToJson() const {
       << "  \"accepting\": " << (accepting ? "true" : "false") << ",\n"
       << "  \"queue_depth\": " << queue_depth << ",\n"
       << "  \"max_queue\": " << max_queue << ",\n"
-      << "  \"expired_in_queue\": " << expired_in_queue << ",\n"
-      << "  \"cold_tier_attached\": " << (cold_tier_attached ? "true" : "false")
-      << ",\n"
-      << "  \"cold_tier_quarantined\": " << cold_tier_quarantined << "\n"
+      << "  \"expired_in_queue\": " << expired_in_queue << "\n"
       << "}";
   return out.str();
 }
@@ -50,9 +47,6 @@ MatchService::MatchService(ServiceOptions options)
     : options_(std::move(options)), engine_(options_.engine) {
   engine_.set_metrics(&metrics_);
   if (options_.tracer != nullptr) engine_.set_tracer(options_.tracer);
-  if (options_.cold_store != nullptr) {
-    engine_.set_cold_store(options_.cold_store);
-  }
   dispatcher_ = std::thread([this] { DispatchLoop(); });
 }
 
@@ -270,10 +264,6 @@ HealthSnapshot MatchService::Health() const {
   }
   health.max_queue = options_.max_queue;
   health.expired_in_queue = metrics_.Counter("service.expired_in_queue");
-  health.cold_tier_attached = options_.cold_store != nullptr;
-  if (options_.cold_store != nullptr) {
-    health.cold_tier_quarantined = options_.cold_store->Quarantined();
-  }
   return health;
 }
 

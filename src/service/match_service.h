@@ -31,8 +31,7 @@
 // their rate token.
 //
 // Health() is a point-in-time snapshot (accepting, queue depth, queue
-// expiries, cold-tier quarantine count) — the same numbers the daemon's
-// --health mode prints.
+// expiries) — the same numbers the daemon's --health mode prints.
 //
 // Results are delivered through shared_futures, so Submit never blocks on
 // matching work and any number of threads can wait on one response.  All
@@ -60,7 +59,6 @@
 
 #include "core/match_engine.h"
 #include "core/match_request.h"
-#include "core/session_store.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -86,9 +84,6 @@ struct ServiceOptions {
   /// Quota for tenants absent from `tenant_quotas` (default: unlimited).
   TenantQuota default_quota;
   std::map<std::string, TenantQuota> tenant_quotas;
-  /// Optional cold session tier, forwarded to the engine.  Must outlive
-  /// the service.
-  SessionColdStore* cold_store = nullptr;
   /// Optional tracer, forwarded to the engine.  Must outlive the service.
   obs::Tracer* tracer = nullptr;
 
@@ -116,12 +111,8 @@ struct HealthSnapshot {
   size_t max_queue = 0;
   /// Requests whose deadline ran out while queued (answered unrun).
   uint64_t expired_in_queue = 0;
-  bool cold_tier_attached = false;
-  /// Corrupt/truncated cold-tier blobs set aside (SessionColdStore::
-  /// Quarantined); non-zero means the spool saw torn writes or bit rot.
-  uint64_t cold_tier_quarantined = 0;
 
-  /// One-line human summary ("accepting queue=3/64 expired=0 ...").
+  /// One-line human summary ("accepting queue=3/64 expired=0").
   std::string ToString() const;
   /// JSON object with the same fields (the daemon's --health output).
   std::string ToJson() const;

@@ -127,24 +127,16 @@ TEST_P(SeededPropertyTest, ConditionConjunctionIsIntersection) {
 
 TEST_P(SeededPropertyTest, TrainTestSplitIsExactPartition) {
   Rng data_rng(GetParam() ^ 6);
-  std::vector<Row> rows;
-  size_t n = 10 + data_rng.NextBounded(200);
-  for (size_t i = 0; i < n; ++i) {
-    rows.push_back({I(static_cast<int64_t>(i))});
-  }
-  Table t = MakeTable("t", {"id"}, rows);
+  const size_t n = 10 + data_rng.NextBounded(200);
   Rng split_rng(GetParam() ^ 7);
-  double fraction = data_rng.NextDouble();
-  TrainTestSplit split = SplitTrainTest(t, fraction, split_rng);
-  EXPECT_EQ(split.train.num_rows() + split.test.num_rows(), n);
-  std::set<int64_t> ids;
-  for (size_t r = 0; r < split.train.num_rows(); ++r) {
-    ids.insert(split.train.ValueAt(r, 0).AsInt());
-  }
-  for (size_t r = 0; r < split.test.num_rows(); ++r) {
-    EXPECT_TRUE(ids.insert(split.test.ValueAt(r, 0).AsInt()).second);
-  }
+  const double fraction = data_rng.NextDouble();
+  const auto [train, test] = SplitPositions(n, fraction, split_rng);
+  EXPECT_EQ(train.size() + test.size(), n);
+  std::set<RowId> ids;
+  for (RowId p : train) ids.insert(p);
+  for (RowId p : test) EXPECT_TRUE(ids.insert(p).second);
   EXPECT_EQ(ids.size(), n);
+  EXPECT_LT(*ids.rbegin(), n);
 }
 
 TEST_P(SeededPropertyTest, NaiveBayesTrainingOrderInvariant) {

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
+#include <cmath>
+#include <iterator>
+#include <limits>
+#include <map>
+#include <numeric>
 
 #include "check/fingerprint.h"
 #include "relational/categorical.h"
@@ -76,6 +80,42 @@ TEST(ValueTest, OrderIsStrictWeak) {
   EXPECT_EQ(values[3], Value::Int(2));
   EXPECT_EQ(values[4], Value::String("a"));
   EXPECT_EQ(values[5], Value::String("b"));
+}
+
+TEST(ValueTest, OrderIsStrictWeakWithNaNAndSignedZeros) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Value> values = {
+      Value::Null(),     Value::Real(-inf), Value::Int(-1),
+      Value::Real(-0.0), Value::Int(0),     Value::Real(0.0),
+      Value::Int(1),     Value::Real(inf),  Value::Real(nan),
+      Value::String("a")};
+  auto equivalent = [](const Value& a, const Value& b) {
+    return !(a < b) && !(b < a);
+  };
+  for (const Value& a : values) {
+    EXPECT_FALSE(a < a) << a;
+    for (const Value& b : values) {
+      if (a < b) {
+        EXPECT_FALSE(b < a) << a << " vs " << b;
+      }
+      for (const Value& c : values) {
+        if (a < b && b < c) {
+          EXPECT_TRUE(a < c) << a << " < " << b << " < " << c;
+        }
+        if (equivalent(a, b) && equivalent(b, c)) {
+          EXPECT_TRUE(equivalent(a, c)) << a << " ~ " << b << " ~ " << c;
+        }
+      }
+    }
+  }
+  // NaN sorts after every other numeric, before strings, and is
+  // equivalent only to NaN.
+  EXPECT_LT(Value::Real(inf), Value::Real(nan));
+  EXPECT_LT(Value::Real(nan), Value::String("a"));
+  EXPECT_TRUE(equivalent(Value::Real(nan), Value::Real(-nan)));
+  EXPECT_FALSE(equivalent(Value::Real(nan), Value::Int(1)));
+  EXPECT_TRUE(equivalent(Value::Real(-0.0), Value::Real(0.0)));
 }
 
 TEST(ValueTest, HashConsistentWithEquality) {
@@ -486,43 +526,63 @@ TEST(CategoricalTest, IntLabelsWork) {
   EXPECT_TRUE(IsCategoricalAttribute(t, "k"));
 }
 
+TEST(CategoricalTest, NaNCellsCountAsOneValueOfTheirOwn) {
+  TableSchema schema("t");
+  schema.AddAttribute("x", ValueType::kReal);
+  auto parsed = TableFromCsv(schema, "x\n1.0\nnan\nnan\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const TableView view(*parsed);
+
+  const std::map<Value, size_t> counts = view.ValueCounts("x");
+  ASSERT_EQ(counts.size(), 2u);
+  EXPECT_EQ(counts.begin()->first, Value::Real(1.0));
+  EXPECT_EQ(counts.begin()->second, 1u);
+  EXPECT_TRUE(std::isnan(counts.rbegin()->first.AsReal()));
+  EXPECT_EQ(counts.rbegin()->second, 2u);
+
+  // One value with two tuples is enough for the column to be categorical,
+  // so the split keeps its counts.
+  CategoricalOptions options;
+  options.min_frequent_values = 1;
+  const CategoricalSplit split = SplitCategorical(view, options);
+  const std::map<Value, size_t>* split_counts = split.CountsOf("x");
+  ASSERT_NE(split_counts, nullptr);
+  ASSERT_EQ(split_counts->size(), 2u);
+  EXPECT_EQ(split_counts->begin()->second, 1u);
+  EXPECT_EQ(split_counts->rbegin()->second, 2u);
+}
+
 // ---------------------------------------------------------------- Sample
 
 TEST(SampleTest, SplitSizesAndDisjointness) {
-  Table t = CategoricalFixture(20, 3, 0);  // 60 rows
   Rng rng(5);
-  TrainTestSplit split = SplitTrainTest(t, 0.5, rng);
-  EXPECT_EQ(split.train.num_rows() + split.test.num_rows(), 60u);
-  EXPECT_NEAR(static_cast<double>(split.train.num_rows()), 30.0, 1.0);
-  // Disjoint: every "unique" value appears exactly once across both sides.
-  std::set<std::string> seen;
-  for (size_t r = 0; r < split.train.num_rows(); ++r) {
-    seen.insert(split.train.ValueAt(r, 1).AsString());
-  }
-  for (size_t r = 0; r < split.test.num_rows(); ++r) {
-    EXPECT_TRUE(seen.insert(split.test.ValueAt(r, 1).AsString()).second);
-  }
-  EXPECT_EQ(seen.size(), 60u);
+  const auto [train, test] = SplitPositions(60, 0.5, rng);
+  EXPECT_EQ(train.size() + test.size(), 60u);
+  EXPECT_NEAR(static_cast<double>(train.size()), 30.0, 1.0);
+  // Each side ascending, and together a disjoint cover of 0..59.
+  EXPECT_TRUE(std::is_sorted(train.begin(), train.end()));
+  EXPECT_TRUE(std::is_sorted(test.begin(), test.end()));
+  PosList merged;
+  std::merge(train.begin(), train.end(), test.begin(), test.end(),
+             std::back_inserter(merged));
+  PosList all(60);
+  std::iota(all.begin(), all.end(), RowId{0});
+  EXPECT_EQ(merged, all);
 }
 
 TEST(SampleTest, SplitIsDeterministicGivenSeed) {
-  Table t = CategoricalFixture(20, 3, 0);
   Rng rng1(5), rng2(5);
-  TrainTestSplit a = SplitTrainTest(t, 0.6, rng1);
-  TrainTestSplit b = SplitTrainTest(t, 0.6, rng2);
-  ASSERT_EQ(a.train.num_rows(), b.train.num_rows());
-  for (size_t r = 0; r < a.train.num_rows(); ++r) {
-    EXPECT_EQ(a.train.row(r), b.train.row(r));
-  }
+  EXPECT_EQ(SplitPositions(60, 0.6, rng1), SplitPositions(60, 0.6, rng2));
 }
 
 TEST(SampleTest, SplitAlwaysKeepsBothSidesNonEmpty) {
-  Table t = CategoricalFixture(2, 2, 0);  // 4 rows
   Rng rng(1);
-  TrainTestSplit lo = SplitTrainTest(t, 0.0, rng);
-  EXPECT_GE(lo.train.num_rows(), 1u);
-  TrainTestSplit hi = SplitTrainTest(t, 1.0, rng);
-  EXPECT_GE(hi.test.num_rows(), 1u);
+  const auto [lo_train, lo_test] = SplitPositions(4, 0.0, rng);
+  EXPECT_EQ(lo_train.size(), 1u);
+  EXPECT_EQ(lo_test.size(), 3u);
+  const auto [hi_train, hi_test] = SplitPositions(4, 1.0, rng);
+  EXPECT_EQ(hi_train.size(), 3u);
+  EXPECT_EQ(hi_test.size(), 1u);
 }
 
 TEST(SampleTest, SampleRowsSubsets) {
@@ -898,23 +958,6 @@ TEST(TableViewTest, ViewBindMatchesMaterialize) {
     }
   }
   EXPECT_EQ(bound.name(), materialized.name());
-}
-
-TEST(SampleTest, ViewSplitSelectsSameRowsAsTableSplit) {
-  Table t = MakeTable("t", {"i"},
-                      {{I(0)}, {I(1)}, {I(2)}, {I(3)}, {I(4)}, {I(5)}});
-  Rng rng_a(99);
-  Rng rng_b(99);
-  const TrainTestSplit tables = SplitTrainTest(t, 0.5, rng_a);
-  const TrainTestViewSplit views = SplitTrainTestView(t, 0.5, rng_b);
-  ASSERT_EQ(views.train.num_rows(), tables.train.num_rows());
-  ASSERT_EQ(views.test.num_rows(), tables.test.num_rows());
-  for (size_t r = 0; r < tables.train.num_rows(); ++r) {
-    EXPECT_EQ(views.train.ValueAt(r, 0), tables.train.ValueAt(r, 0));
-  }
-  for (size_t r = 0; r < tables.test.num_rows(); ++r) {
-    EXPECT_EQ(views.test.ValueAt(r, 0), tables.test.ValueAt(r, 0));
-  }
 }
 
 }  // namespace

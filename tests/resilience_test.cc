@@ -1,18 +1,13 @@
 // The service's failure behavior end to end: definitive answers under a
-// scripted dispatch-fault schedule, the health snapshot, quota edge cases,
-// and the crash-safe cold tier (truncated-blob quarantine, kill-and-restart
-// recovery, non-fatal store writes).  Deterministic throughout: faults run
+// scripted dispatch-fault schedule, the health snapshot and quota edge
+// cases.  Deterministic throughout: faults run
 // on scripted FaultInjector specs, and the dispatcher is held still with
 // test_dispatch_gate wherever exact queue depths matter.  The CI `service`
 // job runs this binary under TSan alongside service_test.
 
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -24,7 +19,6 @@
 #include "common/fault_injector.h"
 #include "core/match_engine.h"
 #include "datagen/retail_gen.h"
-#include "service/disk_store.h"
 #include "service/match_service.h"
 
 namespace csm {
@@ -87,14 +81,6 @@ class Gate {
   std::atomic<int> entered_{0};
 };
 
-std::string FreshSpoolDir(const char* tag) {
-  auto dir = std::filesystem::temp_directory_path() /
-             (std::string("csm_resilience_test_") + tag + "_" +
-              std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
-
 /// Every test disarms on exit so scripted faults never leak across tests.
 class ResilienceTest : public ::testing::Test {
  protected:
@@ -105,15 +91,12 @@ class ResilienceTest : public ::testing::Test {
 // Health snapshot
 // ---------------------------------------------------------------------------
 
-TEST_F(ResilienceTest, HealthSnapshotReportsQueueBreakerAndColdTier) {
-  const std::string dir = FreshSpoolDir("health");
+TEST_F(ResilienceTest, HealthSnapshotReportsQueueAndExpiries) {
   RetailDataset data = SmallRetail(3);
-  DiskSessionStore store(dir);
   Gate gate;
   ServiceOptions options;
   options.engine = FastEngine();
   options.max_queue = 8;
-  options.cold_store = &store;
   options.test_dispatch_gate = gate.AsHook();
   MatchService service(options);
 
@@ -129,17 +112,13 @@ TEST_F(ResilienceTest, HealthSnapshotReportsQueueBreakerAndColdTier) {
   EXPECT_EQ(health.queue_depth, 2u);
   EXPECT_EQ(health.max_queue, 8u);
   EXPECT_EQ(health.expired_in_queue, 0u);
-  EXPECT_TRUE(health.cold_tier_attached);
-  EXPECT_EQ(health.cold_tier_quarantined, 0u);
-  EXPECT_EQ(health.ToString(), "accepting queue=2/8 expired=0 cold_quarantined=0");
+  EXPECT_EQ(health.ToString(), "accepting queue=2/8 expired=0");
   EXPECT_EQ(health.ToJson(),
             "{\n"
             "  \"accepting\": true,\n"
             "  \"queue_depth\": 2,\n"
             "  \"max_queue\": 8,\n"
-            "  \"expired_in_queue\": 0,\n"
-            "  \"cold_tier_attached\": true,\n"
-            "  \"cold_tier_quarantined\": 0\n"
+            "  \"expired_in_queue\": 0\n"
             "}");
 
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -159,7 +138,6 @@ TEST_F(ResilienceTest, HealthSnapshotReportsQueueBreakerAndColdTier) {
   EXPECT_NE(health.ToJson().find("\"accepting\": false"), std::string::npos);
   EXPECT_NE(health.ToJson().find("\"expired_in_queue\": 1"),
             std::string::npos);
-  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -256,148 +234,6 @@ TEST_F(ResilienceTest, TenPercentDispatchFaultsNeverHangAndStayDefinitive) {
   EXPECT_EQ(ok, 27);
   EXPECT_EQ(service.metrics().Counter("service.dispatch_faults"), 3u);
   service.Stop();
-}
-
-// ---------------------------------------------------------------------------
-// Crash-safe cold tier
-// ---------------------------------------------------------------------------
-
-TEST_F(ResilienceTest, TruncatedBlobIsQuarantinedNotReturned) {
-  const std::string dir = FreshSpoolDir("truncated");
-  DiskSessionStore store(dir);
-  const uint64_t key = 0xabcdef12u;
-  const std::string payload = "csm-sessions 1\ntables 1\nt scores 1 1\n0.5\n";
-  ASSERT_TRUE(store.Store(key, payload));
-
-  // Simulate a torn write published without the frame's protection: chop
-  // the file mid-payload.
-  const std::string path = store.PathForKey(key);
-  const auto full_size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, full_size - 10);
-
-  std::string blob;
-  EXPECT_FALSE(store.Load(key, &blob));
-  EXPECT_EQ(store.quarantined(), 1u);
-  EXPECT_FALSE(std::filesystem::exists(path));
-  EXPECT_TRUE(std::filesystem::exists(path + ".quarantine"));
-
-  // The key is writable again and round-trips bit-identically.
-  ASSERT_TRUE(store.Store(key, payload));
-  ASSERT_TRUE(store.Load(key, &blob));
-  EXPECT_EQ(blob, payload);
-  std::filesystem::remove_all(dir);
-}
-
-TEST_F(ResilienceTest, RestartScanQuarantinesAllCorruptBlobsRestoresRest) {
-  const std::string dir = FreshSpoolDir("restart_scan");
-  std::vector<std::string> payloads;
-  {
-    DiskSessionStore writer(dir);
-    for (uint64_t key = 1; key <= 5; ++key) {
-      payloads.push_back("payload-" + std::to_string(key) +
-                         std::string(100, 'x'));
-      ASSERT_TRUE(writer.Store(key, payloads.back()));
-    }
-    // Crash simulation: one blob truncated mid-payload, one overwritten
-    // with garbage, one leftover temp file from a dying writer.
-    std::filesystem::resize_file(
-        writer.PathForKey(2),
-        std::filesystem::file_size(writer.PathForKey(2)) - 5);
-    std::ofstream(writer.PathForKey(4), std::ios::trunc) << "garbage";
-    std::ofstream(std::filesystem::path(dir) / "dead.csmss.tmp.123")
-        << "partial";
-  }
-
-  // "Restart": a fresh store over the same spool scans on construction.
-  DiskSessionStore restarted(dir);
-  EXPECT_EQ(restarted.quarantined(), 2u) << "100% of corrupt blobs set aside";
-  EXPECT_EQ(restarted.recovered_valid(), 3u);
-  EXPECT_FALSE(std::filesystem::exists(std::filesystem::path(dir) /
-                                       "dead.csmss.tmp.123"));
-
-  // Non-quarantined blobs come back bit-identical; quarantined keys read
-  // as absent (the engine rebuilds them).
-  for (uint64_t key = 1; key <= 5; ++key) {
-    std::string blob;
-    const bool loaded = restarted.Load(key, &blob);
-    if (key == 2 || key == 4) {
-      EXPECT_FALSE(loaded);
-    } else {
-      ASSERT_TRUE(loaded);
-      EXPECT_EQ(blob, payloads[key - 1]);
-    }
-  }
-  // No double-quarantine on reload.
-  EXPECT_EQ(restarted.quarantined(), 2u);
-  std::filesystem::remove_all(dir);
-}
-
-TEST_F(ResilienceTest, ColdTierSurvivesServiceKillAndRestart) {
-  const std::string dir = FreshSpoolDir("kill_restart");
-  RetailDataset data = SmallRetail(5);
-  std::string first;
-  {
-    DiskSessionStore store(dir);
-    ServiceOptions options;
-    options.engine = FastEngine();
-    options.cold_store = &store;
-    MatchService service(options);
-    MatchResponse response = service.Call(RequestOver(data, 0));
-    ASSERT_TRUE(response.ok());
-    first = check::FingerprintResult(response.result);
-    service.Stop();
-  }
-  // Corrupt the spool the way a crash would, then restart the whole stack.
-  size_t corrupted = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() != ".csmss") continue;
-    std::filesystem::resize_file(entry.path(),
-                                 std::filesystem::file_size(entry.path()) / 2);
-    ++corrupted;
-  }
-  ASSERT_GT(corrupted, 0u);
-  {
-    DiskSessionStore store(dir);
-    EXPECT_EQ(store.quarantined(), corrupted);
-    ServiceOptions options;
-    options.engine = FastEngine();
-    options.cold_store = &store;
-    MatchService service(options);
-    // The quarantine shows up in health; the answer is still bit-identical
-    // (rebuilt from scratch, same deterministic pipeline).
-    EXPECT_EQ(service.Health().cold_tier_quarantined, corrupted);
-    MatchResponse response = service.Call(RequestOver(data, 0));
-    ASSERT_TRUE(response.ok());
-    EXPECT_EQ(first, check::FingerprintResult(response.result));
-    EXPECT_EQ(service.metrics().Counter("engine.session_cold_hits"), 0u);
-    service.Stop();
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST_F(ResilienceTest, StoreWriteFaultIsNonFatal) {
-  const std::string dir = FreshSpoolDir("write_fault");
-  RetailDataset data = SmallRetail(5);
-  DiskSessionStore store(dir);
-
-  FaultInjector::ArmSpec spec;
-  spec.site = "store.write";
-  spec.action = FaultInjector::Action::kFail;
-  spec.fire_limit = 0;
-  spec.period = 1;
-  FaultInjector::Arm(spec);
-
-  ServiceOptions options;
-  options.engine = FastEngine();
-  options.cold_store = &store;
-  MatchService service(options);
-  // The write fails, the answer does not.
-  MatchResponse response = service.Call(RequestOver(data, 0));
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(store.stores(), 0u);
-  EXPECT_GE(FaultInjector::FireCount("store.write"), 1u);
-  service.Stop();
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

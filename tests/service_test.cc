@@ -1,16 +1,12 @@
-// MatchService admission control, quotas, deduplication and the cold
-// session tier.  Deterministic concurrency: tests hold the dispatcher
-// still with ServiceOptions::test_dispatch_gate while they fill the queue
-// to an exact depth, so every rejection below is forced, not racy.  The CI
-// `service` job runs this binary under TSan.
-
-#include <unistd.h>
+// MatchService admission control, quotas and deduplication.  Deterministic
+// concurrency: tests hold the dispatcher still with
+// ServiceOptions::test_dispatch_gate while they fill the queue to an exact
+// depth, so every rejection below is forced, not racy.  The CI `service`
+// job runs this binary under TSan.
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -21,7 +17,6 @@
 #include "check/fingerprint.h"
 #include "core/match_engine.h"
 #include "datagen/retail_gen.h"
-#include "service/disk_store.h"
 #include "service/match_service.h"
 
 namespace csm {
@@ -337,140 +332,6 @@ TEST(MatchServiceTest, InvalidRequestAnsweredWithInvalidArgument) {
   EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(response.ExitCode(), 2);
   service.Stop();
-}
-
-// ---------------------------------------------------------------------------
-// Cold session tier
-// ---------------------------------------------------------------------------
-
-std::string FreshSpoolDir(const char* tag) {
-  auto dir = std::filesystem::temp_directory_path() /
-             (std::string("csm_service_test_") + tag + "_" +
-              std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
-
-TEST(ColdStoreTest, RoundTripRestoresBitIdenticalSessions) {
-  const std::string dir = FreshSpoolDir("roundtrip");
-  RetailDataset data = SmallRetail(5);
-  DiskSessionStore store(dir);
-
-  MatchEngine writer(FastEngine());
-  writer.set_cold_store(&store);
-  const std::string fresh =
-      check::FingerprintResult(writer.Execute(RequestOver(data, 0)).result);
-  EXPECT_EQ(writer.session_cold_stores(), 1u);
-  EXPECT_EQ(writer.session_cold_hits(), 0u);
-  EXPECT_EQ(store.stores(), 1u);
-
-  // A fresh engine (empty hot cache) over the same spool restores from
-  // disk instead of rebuilding — and the result is bit-identical.
-  MatchEngine reader(FastEngine());
-  reader.set_cold_store(&store);
-  const std::string restored =
-      check::FingerprintResult(reader.Execute(RequestOver(data, 0)).result);
-  EXPECT_EQ(fresh, restored);
-  EXPECT_EQ(reader.session_cold_hits(), 1u);
-  EXPECT_EQ(reader.session_cold_stores(), 0u) << "a cold hit must not re-store";
-
-  // The restored entry was promoted into the hot tier: a repeat run is a
-  // hot hit, not another disk read.
-  const uint64_t loads_before = store.loads();
-  reader.Execute(RequestOver(data, 0));
-  EXPECT_EQ(store.loads(), loads_before);
-  EXPECT_EQ(reader.session_cache_hits(), 1u);
-
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ColdStoreTest, CorruptBlobFallsBackToFreshBuild) {
-  const std::string dir = FreshSpoolDir("corrupt");
-  RetailDataset data = SmallRetail(5);
-  DiskSessionStore store(dir);
-
-  MatchEngine writer(FastEngine());
-  writer.set_cold_store(&store);
-  const std::string fresh =
-      check::FingerprintResult(writer.Execute(RequestOver(data, 0)).result);
-
-  // Re-store garbage under every key with a VALID frame: the store's CRC
-  // check passes, so the blob reaches the engine's parse-level validation
-  // and must be rejected there (raw overwrites would be quarantined by the
-  // frame check before the engine ever saw them — see resilience_test).
-  std::vector<uint64_t> keys;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() != ".csmss") continue;
-    keys.push_back(std::stoull(entry.path().stem().string(), nullptr, 16));
-  }
-  ASSERT_GT(keys.size(), 0u);
-  for (uint64_t key : keys) {
-    ASSERT_TRUE(store.Store(key, "csm-sessions 1\ntables 1\ngarbage\n"));
-  }
-
-  obs::MetricsRegistry metrics;
-  MatchEngine reader(FastEngine());
-  reader.set_cold_store(&store);
-  reader.set_metrics(&metrics);
-  const std::string rebuilt =
-      check::FingerprintResult(reader.Execute(RequestOver(data, 0)).result);
-  EXPECT_EQ(fresh, rebuilt);
-  EXPECT_EQ(reader.session_cold_hits(), 0u);
-  EXPECT_GE(metrics.Counter("engine.session_cold_invalid"), 1u);
-  // The fallback build re-stored a good blob over the corrupt one.
-  EXPECT_EQ(reader.session_cold_stores(), 1u);
-
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ColdStoreTest, ServiceRestartServesFromColdTier) {
-  const std::string dir = FreshSpoolDir("restart");
-  RetailDataset data = SmallRetail(5);
-  DiskSessionStore store(dir);
-  ServiceOptions options;
-  options.engine = FastEngine();
-  options.cold_store = &store;
-
-  std::string first;
-  {
-    MatchService service(options);
-    MatchResponse response = service.Call(RequestOver(data, 0));
-    ASSERT_TRUE(response.ok());
-    first = check::FingerprintResult(response.result);
-    service.Stop();
-  }
-  {
-    MatchService service(options);
-    MatchResponse response = service.Call(RequestOver(data, 0));
-    ASSERT_TRUE(response.ok());
-    EXPECT_EQ(first, check::FingerprintResult(response.result));
-    EXPECT_EQ(service.metrics().Counter("engine.session_cold_hits"), 1u);
-    service.Stop();
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ColdStoreTest, DistinctOptionsDoNotShareBlobs) {
-  const std::string dir = FreshSpoolDir("options");
-  RetailDataset data = SmallRetail(5);
-  DiskSessionStore store(dir);
-
-  ContextMatchOptions a = FastEngine();
-  MatchEngine first(a);
-  first.set_cold_store(&store);
-  first.Execute(RequestOver(data, 0));
-
-  // min_non_null_values changes which triples get scored, so the cold key
-  // must differ and the second engine must NOT restore the first's blob.
-  ContextMatchOptions b = FastEngine();
-  b.match.min_non_null_values = 5;
-  MatchEngine second(b);
-  second.set_cold_store(&store);
-  second.Execute(RequestOver(data, 0));
-  EXPECT_EQ(second.session_cold_hits(), 0u);
-  EXPECT_EQ(store.stores(), 2u);
-
-  std::filesystem::remove_all(dir);
 }
 
 // Concurrent submissions from many threads: exercised under TSan by the CI
